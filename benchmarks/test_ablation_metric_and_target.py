@@ -21,7 +21,7 @@ from conftest import write_result
 from repro.core import ScaleRegressor, optimal_scale_for_image
 from repro.core.pipeline import ExperimentBundle
 from repro.data.loader import FrameLoader
-from repro.data.transforms import image_to_chw, normalize_image, resize_image
+from repro.data.transforms import preprocess_frame
 from repro.evaluation import format_table
 from repro.nn import mse_loss
 from repro.nn.optim import Adam
@@ -100,8 +100,8 @@ def _train_absolute_regressor(bundle: ExperimentBundle, iterations: int) -> Scal
             continue
         optimal = bundle.labels.labels[key]
         input_scale = int(reg_scales[int(rng.integers(len(reg_scales)))])
-        resized = resize_image(frame.image, input_scale, config.adascale.max_long_side)
-        features = bundle.ms_detector.extract_features(image_to_chw(normalize_image(resized.image)))
+        tensor, _, _ = preprocess_frame(frame.image, input_scale, config.adascale.max_long_side)
+        features = bundle.ms_detector.extract_features(tensor)
         prediction = regressor(features)
         target = np.asarray([optimal / max_scale], dtype=np.float32)
         _, grad, _ = mse_loss(prediction, target)

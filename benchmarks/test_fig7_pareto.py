@@ -33,9 +33,15 @@ def test_fig7_pareto(benchmark, vid_bundle):
 
     points: dict[str, tuple[float, float]] = {}
 
-    # R-FCN at the fixed maximum scale.
+    # R-FCN at the fixed maximum scale and R-FCN + AdaScale, interleaved
+    # snippet by snippet after one warm-up frame: the two means are compared
+    # by the paper-claim gate below, so first-touch costs and machine-speed
+    # drift must land on both alike.
+    warmup = dataset[0].frames()[0].image
+    detector.detect(warmup, target_scale=max_scale, max_long_side=config.max_long_side)
     rfcn_records, rfcn_runtimes = [], []
     rfcn_by_snippet: dict[int, list[DetectionRecord]] = {}
+    ada_records, ada_runtimes, ada_scales = [], [], []
     for snippet in dataset:
         rfcn_by_snippet[snippet.snippet_id] = []
         for frame in snippet:
@@ -47,16 +53,15 @@ def test_fig7_pareto(benchmark, vid_bundle):
             rfcn_records.append(record)
             rfcn_by_snippet[snippet.snippet_id].append(record)
             rfcn_runtimes.append(result.runtime_s)
-    points["R-FCN"] = _evaluate(rfcn_records, rfcn_runtimes, dataset)
-
-    # R-FCN + AdaScale.
-    ada_records, ada_runtimes = [], []
-    for snippet in dataset:
         frames = snippet.frames()
         video = adascale.process_video(frames)
         ada_records.extend(video.to_records(frames))
         ada_runtimes.extend(video.runtimes_s)
+        ada_scales.extend(video.scales_used)
+    points["R-FCN"] = _evaluate(rfcn_records, rfcn_runtimes, dataset)
     points["AdaScale"] = _evaluate(ada_records, ada_runtimes, dataset)
+    mean_scale = float(np.mean(ada_scales))
+    ms_ratio = points["AdaScale"][1] / points["R-FCN"][1]
 
     # DFF at the fixed maximum scale.
     dff = DFFDetector(detector, key_frame_interval=KEY_FRAME_INTERVAL, config=config)
@@ -114,7 +119,8 @@ def test_fig7_pareto(benchmark, vid_bundle):
     )
     note = (
         "Paper reference: R-FCN 74.2 mAP @ 13.3 FPS; AdaScale variants shift every method "
-        "toward higher FPS at equal or better mAP (extra 1.25x over DFF, 1.61x over Seq-NMS)."
+        "toward higher FPS at equal or better mAP (extra 1.25x over DFF, 1.61x over Seq-NMS).\n"
+        f"AdaScale mean scale {mean_scale:.1f} (max {max_scale}): {ms_ratio:.2f}x R-FCN's ms/frame."
     )
     write_result(
         "fig7_pareto",
@@ -123,7 +129,9 @@ def test_fig7_pareto(benchmark, vid_bundle):
             "points": {
                 name: {"map_pct": float(map_pct), "ms_per_frame": float(ms)}
                 for name, (map_pct, ms) in points.items()
-            }
+            },
+            "adascale_mean_scale": mean_scale,
+            "adascale_vs_rfcn_ms_ratio": ms_ratio,
         },
     )
 
@@ -132,12 +140,23 @@ def test_fig7_pareto(benchmark, vid_bundle):
     # is deliberately loose — it only catches order-of-class regressions: the
     # profile-guided hot-path pass (im2col plan cache, strided unfold, anchor
     # cache, scratch buffers) accelerates the conv-heavy full-detection
-    # baseline more than DFF's scipy flow+warp path, so at these reduced
+    # baseline more than DFF's flow+warp path, so at these reduced
     # resolutions DFF's relative advantage is smaller than the paper's
     # full-resolution setting, and the two single-sample wall-clock means
     # jitter independently under full-suite load.
     assert points["SeqNMS"][0] >= points["R-FCN"][0] - 1.0
     assert points["DFF+AdaScale"][1] <= points["R-FCN"][1] * 2.0
+    # The paper's headline (ROADMAP item 1): whenever AdaScale chose smaller
+    # scales on average it must not be slower than fixed-scale R-FCN.  The
+    # 10% margin absorbs single-sample wall-clock jitter; measured ≈0.9.
+    # "Smaller" means ≥ 5% below the maximum: the regressor itself costs ~8%
+    # of a frame, and a smoke-trained (FAST) regressor that stays within a
+    # pixel or two of the maximum scale has nothing to pay for it with.
+    if mean_scale <= 0.95 * max_scale:
+        assert ms_ratio <= 1.10, (
+            f"AdaScale {points['AdaScale'][1]:.2f} ms/frame at mean scale {mean_scale:.1f} vs "
+            f"R-FCN {points['R-FCN'][1]:.2f} ms/frame at scale {max_scale}"
+        )
 
     # Benchmark one DFF non-key frame (flow + warp + head), the cheap path of Fig. 7.
     snippet = dataset[0]

@@ -18,7 +18,7 @@ import numpy as np
 from repro.acceleration.optical_flow import estimate_flow, warp_features
 from repro.config import AdaScaleConfig
 from repro.data.synthetic_vid import VideoFrame
-from repro.data.transforms import image_to_chw, normalize_image, resize_image
+from repro.data.transforms import preprocess_frame, resize_image
 from repro.detection.rfcn import DetectionResult, RFCNDetector
 from repro.nn.layers import inference_mode
 from repro.evaluation.voc_ap import DetectionRecord
@@ -177,14 +177,17 @@ class DFFStream:
         array = image.image if isinstance(image, VideoFrame) else np.asarray(image)
         if self.next_is_key_frame:
             key_scale = int(scale) if scale is not None else self._key_scale
+            # The resized HWC frame is kept for flow estimation against the
+            # following non-key frames, so only the normalise half is fused.
             resized = resize_image(array, key_scale, self.config.max_long_side)
+            tensor, working_shape, _ = preprocess_frame(resized.image, None)
             return DFFFramePlan(
                 is_key_frame=True,
                 scale=key_scale,
                 image_size=array.shape[:2],
-                working_shape=resized.image.shape[:2],
+                working_shape=working_shape,
                 scale_factor=resized.scale_factor,
-                tensor=image_to_chw(normalize_image(resized.image)),
+                tensor=tensor,
                 resized_image=resized.image,
             )
         if self._key_features is None or self._key_image is None:

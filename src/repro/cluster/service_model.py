@@ -173,7 +173,11 @@ def calibrate_service_model(
     if not images:
         raise ValueError("bundle has no validation frames to calibrate on")
 
-    adascale.detect_frame(images[0], scales[0])  # warmup (plan caches, buffers)
+    # Warm every ladder scale, not just the top one: each scale has its own
+    # resize / im2col plans and arena high-water mark, and a first-touch cost
+    # landing in one scale's timed pass makes the model non-monotone.
+    for scale in scales:
+        adascale.detect_frame(images[0], scale)
     sample_ms: dict[int, list[float]] = {scale: [] for scale in scales}
     for _ in range(repeats):
         for scale in scales:

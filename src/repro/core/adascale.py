@@ -108,6 +108,13 @@ class AdaScaleDetector:
         self.detector = detector
         self.regressor = regressor
         self.config = config if config is not None else AdaScaleConfig()
+        # Snap predictions to the discrete regressor scale set so concurrent
+        # streams land in shared scheduler buckets (see AdaScaleConfig).
+        self._quantize_to = (
+            ScaleSet.from_sequence(self.config.regressor_scales)
+            if self.config.quantize_predicted_scale
+            else None
+        )
 
     def predict_next_scale(
         self, detection: DetectionResult, image_shape: tuple[int, int]
@@ -153,13 +160,6 @@ class AdaScaleDetector:
                     targets[position] = value
                     shares[position] = share
 
-        # Snap to the discrete regressor scale set so concurrent streams land
-        # in shared scheduler buckets (see AdaScaleConfig).
-        quantize_to = (
-            ScaleSet.from_sequence(self.config.regressor_scales)
-            if self.config.quantize_predicted_scale
-            else None
-        )
         results: list[tuple[int, float, float]] = []
         for detection, image_shape, target, share in zip(
             detections, image_shapes, targets, shares
@@ -169,8 +169,8 @@ class AdaScaleDetector:
             next_scale = decode_scale(
                 float(target), base_size, self.config.min_scale, self.config.max_scale
             )
-            if quantize_to is not None:
-                next_scale = quantize_to.nearest(next_scale)
+            if self._quantize_to is not None:
+                next_scale = self._quantize_to.nearest(next_scale)
             results.append((int(next_scale), float(target), float(share)))
         return results
 

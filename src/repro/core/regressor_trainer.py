@@ -19,7 +19,7 @@ from repro.core.regressor import ScaleRegressor
 from repro.core.scale_coding import encode_scale_target
 from repro.data.loader import FrameLoader
 from repro.data.synthetic_vid import SyntheticVID
-from repro.data.transforms import image_to_chw, normalize_image, resize_image
+from repro.data.transforms import preprocess_frame
 from repro.detection.rfcn import RFCNDetector
 from repro.nn.losses import mse_loss
 from repro.nn.optim import MultiStepLR, build_optimizer
@@ -104,11 +104,13 @@ class RegressorTrainer:
                 continue
             optimal = labels.labels[key]
             input_scale = int(reg_scales[int(self.rng.integers(len(reg_scales)))])
-            resized = resize_image(frame.image, input_scale, self.adascale_config.max_long_side)
-            current_scale = float(min(resized.image.shape[0], resized.image.shape[1]))
-            target = encode_scale_target(current_scale, float(optimal), min_scale, max_scale)
+            tensor, working_shape, _ = preprocess_frame(
+                frame.image, input_scale, self.adascale_config.max_long_side
+            )
+            target = encode_scale_target(
+                float(min(working_shape)), float(optimal), min_scale, max_scale
+            )
 
-            tensor = image_to_chw(normalize_image(resized.image))
             features = self.detector.extract_features(tensor)
             prediction = self.regressor(features)
             loss, grad, _ = mse_loss(prediction, np.asarray([target], dtype=np.float32))

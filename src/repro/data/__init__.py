@@ -24,6 +24,7 @@ from repro.data.transforms import (
     ResizedImage,
     image_to_chw,
     normalize_image,
+    preprocess_frame,
     resize_image,
     resize_with_boxes,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "image_to_chw",
     "iterate_frames",
     "normalize_image",
+    "preprocess_frame",
     "render_shape",
     "resize_image",
     "resize_with_boxes",

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import DetectorConfig, TrainingConfig
-from repro.data.transforms import image_to_chw, normalize_image, resize_image
+from repro.data.transforms import preprocess_frame
 from repro.detection.boxes import clip_boxes_, decode_boxes, encode_boxes
 from repro.detection.losses import DetectionLossResult, detection_loss
 from repro.detection.matcher import match_boxes
@@ -323,15 +323,11 @@ class RFCNDetector(Module):
             with stage("detect/preprocess"):
                 for image, scale in zip(images, scales):
                     original_size = (int(image.shape[0]), int(image.shape[1]))
-                    if scale is not None:
-                        resized = resize_image(image, scale, max_long_side)
-                        working = resized.image
-                        scale_factor = resized.scale_factor
-                    else:
-                        working = np.asarray(image, dtype=np.float32)
-                        scale_factor = 1.0
-                    tensors.append(image_to_chw(normalize_image(working)))
-                    metas.append((working.shape[:2], scale_factor, original_size, scale))
+                    tensor, working_shape, scale_factor = preprocess_frame(
+                        image, scale, max_long_side
+                    )
+                    tensors.append(tensor)
+                    metas.append((working_shape, scale_factor, original_size, scale))
 
             # Stacking requires identical spatial dims; frames of one scale
             # bucket can still differ (different source aspect ratios), so
@@ -566,7 +562,7 @@ class RFCNDetector(Module):
         gt_boxes = np.asarray(gt_boxes, dtype=np.float32).reshape(-1, 4)
         gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
         height, width = image.shape[:2]
-        tensor = image_to_chw(normalize_image(image))
+        tensor = preprocess_frame(image, None)[0]
         features = self.extract_features(tensor)
         rpn_out = self.rpn(features)
 

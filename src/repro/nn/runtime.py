@@ -12,16 +12,20 @@ Scratch buffers
 ``scratch(tag, shape, dtype)`` hands out a reusable, *thread-local* ndarray.
 NumPy otherwise allocates a fresh output buffer for every im2col unfold and
 every GEMM; at serving rates that means thousands of large allocations per
-second whose page faults show up prominently in the profile.  Buffers are
-keyed by ``(tag, shape, dtype)`` and owned by the calling thread, so serving
-workers never share (or lock) them.  Callers must follow one rule: a scratch
-buffer is only valid until the same ``tag`` is requested again on the same
-thread — never store one in a result object (inference code copies into fresh
-arrays before returning, e.g. the convolution output transpose).
+second whose page faults show up prominently in the profile.  Each calling
+thread owns one flat grow-only buffer per ``(tag, dtype)`` — an arena, not a
+shape-keyed cache — and every request is a reshaped view of its front, so a
+frame at a never-seen scale costs the same as a repeated one and memory is
+bounded by the largest request per tag; serving workers never share (or lock)
+them.  Callers must follow one rule: a scratch buffer is only valid until the
+same ``tag`` is requested again on the same thread, whatever the shape —
+never store one in a result object (inference code copies into fresh arrays
+before returning, e.g. the convolution output transpose).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -131,10 +135,8 @@ def runtime_options(**overrides: bool) -> Iterator[RuntimeOptions]:
             _OPTIONS = previous
 
 
-#: Per-thread scratch buffers: OrderedDict[(tag, shape, dtype) -> ndarray],
-#: LRU-bounded so long-running servers with many tensor shapes stay bounded.
+#: Per-thread arena: ``buffers`` maps (tag, dtype) -> flat grow-only ndarray.
 _SCRATCH = threading.local()
-_MAX_SCRATCH_BUFFERS = 32
 
 
 def scratch(tag: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
@@ -145,22 +147,17 @@ def scratch(tag: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndar
     """
     if not _OPTIONS.scratch_buffers:
         return np.empty(shape, dtype=dtype)
-    buffers: OrderedDict[tuple, np.ndarray] | None = getattr(_SCRATCH, "buffers", None)
+    buffers: dict[tuple, np.ndarray] | None = getattr(_SCRATCH, "buffers", None)
     if buffers is None:
-        buffers = _SCRATCH.buffers = OrderedDict()
-    key = (tag, tuple(shape), np.dtype(dtype).str)
-    buffer = buffers.get(key)
-    if buffer is None:
-        buffer = np.empty(shape, dtype=dtype)
-        buffers[key] = buffer
-        while len(buffers) > _MAX_SCRATCH_BUFFERS:
-            buffers.popitem(last=False)
-    else:
-        buffers.move_to_end(key)
-    return buffer
+        buffers = _SCRATCH.buffers = {}
+    key = (tag, np.dtype(dtype).str)
+    size = math.prod(shape)
+    flat = buffers.get(key)
+    if flat is None or flat.size < size:
+        flat = buffers[key] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def clear_scratch() -> None:
     """Drop the calling thread's scratch buffers (mainly for tests)."""
-    if getattr(_SCRATCH, "buffers", None) is not None:
-        _SCRATCH.buffers = OrderedDict()
+    _SCRATCH.buffers = {}

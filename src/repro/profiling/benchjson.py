@@ -57,7 +57,7 @@ def env_fingerprint() -> dict[str, Any]:
         import scipy
 
         scipy_version = scipy.__version__
-    except Exception:  # pragma: no cover - scipy is a hard dependency today
+    except ImportError:  # optional: only the tests use scipy (as the resize oracle)
         scipy_version = None
     return {
         "python": platform.python_version(),

@@ -42,7 +42,7 @@ import numpy as np
 from repro.acceleration.dff import DFFFramePlan, DFFStream
 from repro.acceleration.seqnms import SeqNMSConfig, SeqNMSStream
 from repro.config import AdaScaleConfig, ServingConfig
-from repro.data.transforms import image_to_chw, normalize_image, resize_image
+from repro.data.transforms import preprocess_frame
 from repro.detection.rfcn import DetectionResult
 from repro.evaluation.voc_ap import DetectionRecord
 from repro.observability.trace import active_tracer
@@ -200,17 +200,19 @@ class StreamSession:
                 dff_plan=dff_plan,
             )
         scale = int(request.resolve_scale())
-        resized = resize_image(image, scale, self.adascale_config.max_long_side)
+        tensor, working_shape, scale_factor = preprocess_frame(
+            image, scale, self.adascale_config.max_long_side
+        )
         return FramePlan(
             request=request,
             session=self,
             kind="adascale",
             scale=scale,
             image_size=image.shape[:2],
-            working_shape=resized.image.shape[:2],
-            scale_factor=resized.scale_factor,
+            working_shape=working_shape,
+            scale_factor=scale_factor,
             needs_next_scale=True,
-            tensor=image_to_chw(normalize_image(resized.image)),
+            tensor=tensor,
         )
 
     def complete_frame(self, plan: FramePlan) -> FrameExecution:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -297,3 +302,19 @@ class TestFacade:
         with api.Server(micro_bundle, serving=ServingConfig(num_workers=1)) as server:
             report = server.serve_load(streams=1, frames_per_stream=3)
         assert list(report.streams[0].scales_used) == reference.scales_used[:3]
+
+
+def test_runtime_never_imports_scipy():
+    """SciPy is the resize test oracle only: a serving process (and every
+    spawned shard child) must not pay its import."""
+    src = str(Path(api.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, repro.api, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

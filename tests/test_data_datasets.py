@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.config import DatasetConfig
+from repro.config import AdaScaleConfig, DatasetConfig
 from repro.data import (
     FrameLoader,
     MiniYTBB,
@@ -13,11 +18,43 @@ from repro.data import (
     image_to_chw,
     iterate_frames,
     normalize_image,
+    preprocess_frame,
     resize_image,
     resize_with_boxes,
 )
+from repro.data import transforms
 from repro.data.mini_ytbb import default_ytbb_config
 from repro.data.transforms import PIXEL_MEAN, chw_to_image
+
+#: Agreed beforehand from the dtype: two float32 lerps + the oracle's own
+#: float32 rounding, on values in [0, 1] (float32 eps = 1.19e-7).
+RESIZE_ORACLE_ATOL = 2.5e-7
+
+
+def _zoom_oracle(image: np.ndarray, target_scale: int, max_long_side: int | None) -> np.ndarray:
+    """What ``resize_image`` computed before it stopped using SciPy."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    image = np.asarray(image, dtype=np.float32)
+    height, width = image.shape[:2]
+    factor = float(target_scale) / float(min(height, width))
+    if max_long_side is not None and max(height, width) * factor > max_long_side:
+        factor = float(max_long_side) / float(max(height, width))
+    if abs(factor - 1.0) < 1e-9:
+        return image.copy()
+    zoomed = ndimage.zoom(image, (factor, factor, 1.0), order=1, mode="nearest")
+    return np.clip(zoomed, 0.0, 1.0).astype(np.float32)
+
+
+def _input_variant(kind: str, height: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "float64":
+        return rng.random((height, width, 3))
+    if kind == "uint8":
+        return rng.integers(0, 256, (height, width, 3), dtype=np.uint8) / np.float32(255.0)
+    image = rng.random((2 * height, 2 * width, 3), dtype=np.float32)
+    if kind == "strided":
+        return image[::-2, 1::2]
+    return np.ascontiguousarray(image[:height, :width])
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +211,85 @@ class TestTransforms:
             resize_image(np.zeros((4, 4)), 2)
         with pytest.raises(ValueError):
             resize_image(np.zeros((4, 4, 3)), 0)
+        with pytest.raises(ValueError):
+            preprocess_frame(np.zeros((4, 4)), 2)
+        with pytest.raises(ValueError):
+            preprocess_frame(np.zeros((4, 4, 3)), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        height=st.integers(1, 200),
+        width=st.integers(1, 200),
+        scale=st.integers(1, 256),
+        cap=st.sampled_from([None, 8, 60, 240]),
+        kind=st.sampled_from(["float32", "strided", "float64", "uint8"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_resize_matches_zoom_oracle(self, height, width, scale, cap, kind, seed):
+        """Down- and up-scaling, 1-pixel axes, the cap: same shape, ≤ 2.5e-7 apart."""
+        factor = scale / min(height, width)
+        if cap is not None:
+            factor = min(factor, cap / max(height, width))
+        assume(height * width * factor * factor <= 150_000)  # keep the oracle quick
+        image = _input_variant(kind, height, width, seed)
+        expected = _zoom_oracle(image, scale, cap)
+        resized = resize_image(image, scale, cap)
+        assert resized.image.shape == expected.shape
+        assert resized.image.dtype == np.float32 and resized.image.flags.c_contiguous
+        assert resized.effective_scale == min(expected.shape[:2])
+        np.testing.assert_allclose(resized.image, expected, rtol=0.0, atol=RESIZE_ORACLE_ATOL)
+
+    def test_preprocess_frame_bit_identical_to_three_calls(self, small_dataset):
+        """Every scale AdaScale can choose, capped and uncapped, plus the native size."""
+        image = small_dataset[0][0].image
+        config = AdaScaleConfig()
+        cases = [(None, None)] + [
+            (scale, cap)
+            for scale in range(config.min_scale, config.max_scale + 1)
+            for cap in (config.max_long_side, 100)
+        ]
+        for scale, cap in cases:
+            tensor, working_shape, scale_factor = preprocess_frame(image, scale, cap)
+            if scale is None:
+                resized, factor = image, 1.0
+            else:
+                result = resize_image(image, scale, cap)
+                resized, factor = result.image, result.scale_factor
+            np.testing.assert_array_equal(tensor, image_to_chw(normalize_image(resized)))
+            assert tensor.dtype == np.float32 and tensor.flags.c_contiguous
+            assert working_shape == resized.shape[:2]
+            assert scale_factor == factor
+
+    def test_resize_plan_memo_is_thread_safe(self, small_dataset):
+        """4 threads resizing different scales at once through a cold memo."""
+        image = small_dataset[0][0].image
+        ladder = list(range(16, 129))
+        scales = [ladder[lane::4] + ladder[:lane:-1] for lane in range(4)]  # distinct + shared keys
+        expected = [[resize_image(image, s, 160).image for s in lane] for lane in scales]
+        transforms._axis_plan.cache_clear()
+        results: list[list[np.ndarray]] = [[] for _ in scales]
+
+        def work(lane: int) -> None:
+            for _ in range(3):
+                results[lane] = [resize_image(image, s, 160).image for s in scales[lane]]
+
+        threads = [threading.Thread(target=work, args=(lane,)) for lane in range(len(scales))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for lane, lane_expected in enumerate(expected):
+            assert len(results[lane]) == len(lane_expected)
+            for got, want in zip(results[lane], lane_expected):
+                np.testing.assert_array_equal(got, want)
+        plan = transforms._axis_plan(image.shape[0], 32)
+        assert not any(array.flags.writeable for array in plan)
 
     def test_normalize_subtracts_mean(self):
         image = np.tile(PIXEL_MEAN[None, None, :], (4, 5, 1))

@@ -351,6 +351,31 @@ class TestRFCNDetector:
             np.testing.assert_allclose(full.boxes, manual.boxes, rtol=1e-4, atol=1e-3)
             np.testing.assert_allclose(full.scores, manual.scores, rtol=1e-4)
 
+    def test_detect_batch_bit_identical_to_public_composition(self, detector, micro_frame):
+        """The fused preprocessing feeds the backbone the very tensor the three
+        public calls build, so detections agree to the last bit at every scale."""
+        from repro.data.transforms import image_to_chw, normalize_image, resize_image
+        from repro.nn import inference_mode
+
+        image = micro_frame.image
+        native = min(image.shape[:2])
+        for scale in (24, 37, 48, native, native + 9):
+            fused = detector.detect_batch([image], [scale], max_long_side=240)[0]
+            resized = resize_image(image, scale, 240)
+            with inference_mode():
+                features = detector.extract_features(image_to_chw(normalize_image(resized.image)))
+                composed = detector.detect_from_features_batch(
+                    features,
+                    working_shapes=[resized.image.shape[:2]],
+                    scale_factors=[resized.scale_factor],
+                    image_sizes=[image.shape[:2]],
+                    target_scales=[scale],
+                )[0]
+            np.testing.assert_array_equal(fused.features, composed.features)
+            np.testing.assert_array_equal(fused.boxes, composed.boxes)
+            np.testing.assert_array_equal(fused.scores, composed.scores)
+            np.testing.assert_array_equal(fused.class_ids, composed.class_ids)
+
     def test_estimate_flops_increases_with_resolution(self, detector):
         assert detector.estimate_flops(128, 160) > detector.estimate_flops(64, 80)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.nn.im2col import (
     im2col_indices,
     plan_cache_stats,
 )
+from repro.nn import runtime
 from repro.nn.runtime import clear_scratch, options, runtime_options, scratch
 
 
@@ -177,14 +180,48 @@ class TestRuntimeEquivalence:
         np.testing.assert_array_equal(reference, strided)
         np.testing.assert_array_equal(reference, scratched)
 
-    def test_scratch_buffer_is_reused_per_shape(self):
+    def test_scratch_arena_is_reused_per_tag(self):
+        """One grow-only buffer per tag: shapes share it, tags never do."""
         clear_scratch()
-        a = scratch("t", (4, 4), np.float32)
-        b = scratch("t", (4, 4), np.float32)
-        c = scratch("t", (5, 4), np.float32)
-        assert a is b
-        assert c is not a
+        try:
+            a = scratch("t", (4, 4), np.float32)
+            b = scratch("t", (2, 8), np.float32)
+            c = scratch("t", (3, 2), np.float32)
+            assert (a.shape, b.shape, c.shape) == ((4, 4), (2, 8), (3, 2))
+            assert a.flags.c_contiguous and b.flags.c_contiguous and c.flags.c_contiguous
+            assert np.shares_memory(a, b) and np.shares_memory(a, c)
+            assert not np.shares_memory(a, scratch("u", (4, 4), np.float32))
+            assert not np.shares_memory(a, scratch("t", (4, 4), np.float64))
+
+            # Grows for a larger request, then never shrinks back.
+            big = scratch("t", (64, 4), np.float32)
+            big[:] = 7.0
+            small = scratch("t", (4,), np.float32)
+            assert np.shares_memory(small, big)
+            np.testing.assert_array_equal(small, 7.0)
+
+            # 100 distinct shapes per tag still leave one buffer per (tag, dtype).
+            for n in range(1, 101):
+                for tag in ("t", "u", "v"):
+                    assert scratch(tag, (n, n + 1), np.float32).shape == (n, n + 1)
+            assert len(runtime._SCRATCH.buffers) == 4  # t/f4, t/f8, u/f4, v/f4
+        finally:
+            clear_scratch()
+
+    def test_scratch_arena_is_thread_local(self):
         clear_scratch()
+        try:
+            mine = scratch("t", (8,), np.float32)
+            theirs: list[np.ndarray] = []
+            thread = threading.Thread(
+                target=lambda: theirs.append(scratch("t", (8,), np.float32))
+            )
+            thread.start()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive() and len(theirs) == 1
+            assert not np.shares_memory(mine, theirs[0])
+        finally:
+            clear_scratch()
 
     def test_scratch_disabled_allocates_fresh(self):
         with runtime_options(scratch_buffers=False):
