@@ -20,10 +20,10 @@ workload over real OS processes:
 * **Process-parallel wall clock** — the same saturating steady trace over 1
   and 2 ``mode="process"`` shards (one spawned OS process each, frames over
   framed pipes).  Wall clock is machine-dependent, so the recorded artefact
-  carries the measured ratio *and* the core count; the ≥1.5x two-shard gate
-  asserts only on runners with ≥4 cores, where the parallelism physically
-  exists.  Structural gates (lossless, zero crashes, identical frame
-  populations) hold everywhere.
+  carries the measured ratio *and* the usable core count; with OpenBLAS
+  pinned to one thread per process, two shards must not lose to one on ≥2
+  usable cores (≥1.0x) and must scale on ≥4 (≥1.5x).  Structural gates
+  (lossless, zero crashes, identical frame populations) hold everywhere.
 * **Fleet-tracing overhead** — the 2-shard process fleet twice per repeat,
   untraced vs fully traced (child span shipping + metric federation over the
   frame pipes), legs interleaved and the median taken.  The gate: tracing-on
@@ -36,8 +36,6 @@ uploads it.
 """
 
 from __future__ import annotations
-
-import os
 
 import statistics
 
@@ -55,10 +53,11 @@ from repro.cluster import (
 from repro.config import ServingConfig, TelemetryConfig
 from repro.evaluation import format_table
 from repro.evaluation.reporting import format_float
+from repro.profiling import env_fingerprint
 
 _SERVING = ServingConfig(num_workers=2, max_batch_size=4, queue_capacity=64)
 _SHARD_COUNTS = (1, 2, 4)
-_FLOOR_PASSES = 10
+_FLOOR_PASSES = 40
 
 
 def test_cluster_scaling_and_slo(vid_bundle):
@@ -66,8 +65,10 @@ def test_cluster_scaling_and_slo(vid_bundle):
     adascale = vid_bundle.config.adascale
     # Per-scale minima over single-pass calibrations, for the monotonicity
     # gate: interference only ever inflates a timing, so the minimum is the
-    # statistic a busy machine cannot push out of order.  Taken first, the
-    # passes also soak up process start-up before the model is calibrated.
+    # statistic a busy machine cannot push out of order.  Forty passes (~4 s)
+    # span the host's seconds-long slow spells, which ten (~1 s) could sit
+    # inside for one scale.  Taken first, the passes also soak up process
+    # start-up before the model is calibrated.
     floor_ms = np.min(
         [
             calibrate_service_model(vid_bundle, frames_per_scale=2, repeats=1).frame_ms
@@ -160,8 +161,8 @@ def test_cluster_scaling_and_slo(vid_bundle):
     # -- experiment 3: real process-parallel shards, wall clock ----------------
     # One spawned OS process per shard (mode="process"), replaying the same
     # saturating steady trace.  Unlike experiments 1–2 this measures real wall
-    # clock, so the numbers are machine-dependent: the ≥1.5x two-shard gate is
-    # only asserted when the box actually has cores to parallelise over
+    # clock, so the numbers are machine-dependent: the two-shard gates are
+    # only asserted when the process may actually run on enough cores
     # (process shards cannot beat one process on a single core); the recorded
     # artefact always carries the honest measurement plus the core count.
     facade = api.Cluster(
@@ -200,8 +201,10 @@ def test_cluster_scaling_and_slo(vid_bundle):
     # on purpose: wall clock on an unknown-core runner is recorded evidence,
     # not a cross-machine gate — the structural leaves (completed/shed) and
     # the in-test core-gated assertion below do the enforcement.
+    # Usable cores (the affinity mask), as recorded in the artefact's env.
+    cores = env_fingerprint()["usable_cores"]
     process_data: dict[str, object] = {
-        "cpu_cores": int(os.cpu_count() or 1),
+        "cpu_cores": cores,
         "wall_ratio_2_shards": float(wall_ratio),
     }
     for shards, report in sorted(process_reports.items()):
@@ -217,39 +220,42 @@ def test_cluster_scaling_and_slo(vid_bundle):
     # The distributed tracer batches child spans over the telemetry cadence and
     # federates metric deltas across the same pipes that carry frames, so the
     # claim to defend is that a fully traced fleet serves frames at (nearly)
-    # the untraced rate.  Legs are interleaved and the median taken, exactly
-    # like the single-process telemetry A/B in BENCH_serving.
-    overhead_repeats = 2 if FAST else 3
+    # the untraced rate.  Legs are interleaved and the median of the
+    # per-repeat ratios taken, like the single-process telemetry A/B in
+    # BENCH_serving, so host speed drift cancels inside a pair.  Seven
+    # repeats: with BLAS pinned the 2-shard fleet saturates both cores, so
+    # tracing (child spans + the parent's merge) costs a real ~5 % while
+    # single pairs scatter by ±7 % on a shared 2-core host; a median of three
+    # or five read too close to the 0.90 gate to tell noise from a regression.
+    overhead_repeats = 2 if FAST else 7
     telemetry = TelemetryConfig(enabled=True, ring_capacity=1 << 18)
     untraced_samples: list[float] = []
     traced_samples: list[float] = []
     traced_drops = 0
-    for _ in range(overhead_repeats):
-        off = facade.run_scenario(
-            "steady",
-            shards=2,
-            time_scale=0.05,
-            num_streams=4,
-            duration_s=2.0,
-            rate_fps=float(capacity_1),
-        )
+    for repeat in range(overhead_repeats):
+        # Alternate which leg runs first; the gate reads per-repeat ratios.
+        legs = {}
+        for traced in (False, True) if repeat % 2 == 0 else (True, False):
+            legs[traced] = facade.run_scenario(
+                "steady",
+                shards=2,
+                time_scale=0.05,
+                num_streams=4,
+                duration_s=2.0,
+                rate_fps=float(capacity_1),
+                telemetry=telemetry if traced else None,
+            )
+        off, on = legs[False], legs[True]
         untraced_samples.append(off.throughput_fps)
-        on = facade.run_scenario(
-            "steady",
-            shards=2,
-            time_scale=0.05,
-            num_streams=4,
-            duration_s=2.0,
-            rate_fps=float(capacity_1),
-            telemetry=telemetry,
-        )
         traced_samples.append(on.throughput_fps)
         traced_drops += on.span_drops
         assert on.shed == 0 and off.shed == 0
         assert on.completed == off.completed
     untraced_fps = statistics.median(untraced_samples)
     traced_fps = statistics.median(traced_samples)
-    overhead_ratio = traced_fps / untraced_fps if untraced_fps > 0 else 0.0
+    overhead_ratio = statistics.median(
+        traced / untraced for traced, untraced in zip(traced_samples, untraced_samples)
+    )
     overhead_rows = [
         ["tracing off", format_float(untraced_fps, 1), "1.00x"],
         ["full fleet tracing", format_float(traced_fps, 1),
@@ -291,8 +297,8 @@ def test_cluster_scaling_and_slo(vid_bundle):
         ["Fleet telemetry", "Wall FPS", "vs off"],
         overhead_rows,
         title=(
-            "Process-mode tracing overhead (2 shards) — median of "
-            f"{overhead_repeats} interleaved repeats"
+            "Process-mode tracing overhead (2 shards) — median FPS and median "
+            f"per-repeat ratio of {overhead_repeats} interleaved repeats"
         ),
     )
     model_lines = "Calibrated service model (real detector timings):\n" + "\n".join(
@@ -351,13 +357,17 @@ def test_cluster_scaling_and_slo(vid_bundle):
     # Tracing must stay off the hot path structurally: every child span either
     # shipped or was counted, and nothing was counted.
     assert traced_drops == 0, f"{traced_drops} spans shed at the IPC export buffer"
-    # The wall-clock scaling gate needs real cores to schedule shards onto;
-    # on fewer the artefact still records the honest ratio + core count.
-    if (os.cpu_count() or 1) >= 4:
+    # The wall-clock scaling gates need real cores to schedule shards onto
+    # (the affinity mask, not the machine's count: a restricted container
+    # must not arm a gate it cannot meet); on fewer the artefact still
+    # records the honest ratio + core count.
+    if cores >= 2:
+        assert wall_ratio >= 1.0, f"2 process shards lose to 1: {wall_ratio:.2f}x"
+    if cores >= 4:
         assert wall_ratio >= 1.5, f"2-shard process-mode wall ratio only {wall_ratio:.2f}x"
     # Tracing-overhead wall gate: only meaningful with interleaved repetitions
     # (single FAST samples on a shared runner are noise-dominated).
     if overhead_repeats >= 3:
-        assert traced_fps >= 0.90 * untraced_fps, (
+        assert overhead_ratio >= 0.90, (
             f"fleet tracing cost {1.0 - overhead_ratio:.1%} of wall fps"
         )

@@ -45,7 +45,11 @@ from repro.config import (
     ServingConfig,
     TrainingConfig,
 )
+from repro.nn.runtime import pin_blas_threads
 from repro.version import __version__
+
+# One executor, one core — for every entry point, spawned shard children too.
+pin_blas_threads()
 
 __all__ = [
     "__version__",

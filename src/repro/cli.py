@@ -164,7 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--frames", type=int, default=None, help="frames per stream (default: snippet length)"
     )
-    serve.add_argument("--workers", type=int, default=None, help="worker threads (default: preset)")
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker threads (default: preset); on a 2-core box 4 workers serve 0.9-0.95x "
+        "the frames/s of 2 (4 streams, benchmarks/results/serving_throughput.txt)",
+    )
     serve.add_argument(
         "--batch-size", type=int, default=None, help="max micro-batch size (default: preset)"
     )

@@ -155,7 +155,9 @@ def calibrate_service_model(
     ``frames_per_scale`` single-frame detections (median over ``repeats``
     interleaved passes, so allocator/cache warmup hits every scale equally).
     The batch marginal comes from timing a ``batch_size`` stacked execution at
-    the ladder's top scale against the single-frame cost at the same scale.
+    the ladder's top scale right before each pass's single-frame run at the
+    same scale (median of the per-pass ratios, so host speed drift between
+    the two timings cancels).
     """
     from repro.core.adascale import AdaScaleDetector
 
@@ -178,29 +180,26 @@ def calibrate_service_model(
     # landing in one scale's timed pass makes the model non-monotone.
     for scale in scales:
         adascale.detect_frame(images[0], scale)
+    # Batched marginal at the top scale (largest tensors, the amortisation the
+    # scheduler's scale buckets are designed to exploit).
+    top = scales[0]
+    batch_images = [images[i % len(images)] for i in range(batch_size)]
     sample_ms: dict[int, list[float]] = {scale: [] for scale in scales}
+    batch_ratios = []
     for _ in range(repeats):
+        start = time.perf_counter()
+        adascale.detect_frames(batch_images, [top] * batch_size)
+        batch_ms = 1000.0 * (time.perf_counter() - start)
         for scale in scales:
             start = time.perf_counter()
             for index in range(frames_per_scale):
                 adascale.detect_frame(images[index % len(images)], scale)
             elapsed = time.perf_counter() - start
             sample_ms[scale].append(1000.0 * elapsed / frames_per_scale)
+        batch_ratios.append(batch_ms / sample_ms[top][-1])
     frame_ms = tuple(float(np.median(sample_ms[scale])) for scale in scales)
-
-    # Batched marginal at the top scale (largest tensors, the amortisation the
-    # scheduler's scale buckets are designed to exploit).
-    top = scales[0]
-    batch_images = [images[i % len(images)] for i in range(batch_size)]
-    batch_samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        adascale.detect_frames(batch_images, [top] * batch_size)
-        batch_samples.append(1000.0 * (time.perf_counter() - start))
-    batch_ms = float(np.median(batch_samples))
-    single_ms = frame_ms[0]
-    if batch_size > 1 and single_ms > 0:
-        marginal = (batch_ms / single_ms - 1.0) / (batch_size - 1)
+    if batch_size > 1:
+        marginal = (float(np.median(batch_ratios)) - 1.0) / (batch_size - 1)
         marginal = float(np.clip(marginal, 0.05, 1.0))
     else:
         marginal = 1.0

@@ -1,4 +1,4 @@
-"""Inference-runtime options and reusable scratch buffers.
+"""Inference-runtime options, reusable scratch buffers and the BLAS thread pin.
 
 The profile-guided optimization pass (im2col plan cache, strided im2col
 gather, precomputed anchor grids, reused GEMM output buffers) is **bit-exact**:
@@ -21,24 +21,34 @@ them.  Callers must follow one rule: a scratch buffer is only valid until the
 same ``tag`` is requested again on the same thread, whatever the shape —
 never store one in a result object (inference code copies into fresh arrays
 before returning, e.g. the convolution output transpose).
+
+Importing :mod:`repro` calls ``pin_blas_threads()``: one executor (serving
+worker, process shard, CLI caller), one core.  OpenBLAS helper threads would
+oversubscribe the cores under concurrent callers and buy these small GEMMs
+nothing even alone.  ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` opt out.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "LruCache",
     "RuntimeOptions",
+    "blas_threads",
     "clear_scratch",
     "options",
+    "pin_blas_threads",
     "runtime_options",
     "scratch",
 ]
@@ -161,3 +171,54 @@ def scratch(tag: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndar
 def clear_scratch() -> None:
     """Drop the calling thread's scratch buffers (mainly for tests)."""
     _SCRATCH.buffers = {}
+
+
+#: OpenBLAS thread setters (each with a ``_get_`` twin), newest naming first.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _openblas_paths() -> list[str]:
+    """OpenBLAS libraries NumPy loaded: its wheel's own copy, then a system one."""
+    package = Path(np.__file__).parent
+    wheel_libs = (package.parent / "numpy.libs", package / ".dylibs")
+    paths = [str(path) for libs in wheel_libs for path in sorted(libs.glob("*openblas*"))]
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths += sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:  # no procfs (macOS, Windows)
+        pass
+    return list(dict.fromkeys(paths))
+
+
+def _blas_thread_control() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """``(set, get)`` thread-count functions of the loaded OpenBLAS, or ``None``."""
+    for path in _openblas_paths():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter in _BLAS_SETTERS:
+            getter = setter.replace("_set_", "_get_")
+            if hasattr(library, setter) and hasattr(library, getter):
+                return getattr(library, setter), getattr(library, getter)
+    return None
+
+
+def blas_threads() -> int | None:
+    """The loaded OpenBLAS's thread count (``None``: no controllable BLAS)."""
+    control = _blas_thread_control()
+    return None if control is None else int(control[1]())
+
+
+def pin_blas_threads() -> int | None:
+    """Pin OpenBLAS to one thread (idempotent) unless the user set a thread
+    variable; returns the count read back (``None``: no controllable BLAS)."""
+    control = _blas_thread_control()
+    if control and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        control[0](1)
+    return None if control is None else int(control[1]())

@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.nn.runtime import blas_threads
+
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "bench_payload",
@@ -50,7 +52,8 @@ _REQUIRED_KEYS = ("schema_version", "name", "env", "data")
 
 
 def env_fingerprint() -> dict[str, Any]:
-    """Where these numbers came from: interpreter, libraries, hardware."""
+    """Where these numbers came from: interpreter, libraries, hardware and
+    the thread budget (``blas_threads`` is read back from OpenBLAS)."""
     import numpy
 
     try:
@@ -67,6 +70,10 @@ def env_fingerprint() -> dict[str, Any]:
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "usable_cores": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        ),
+        "blas_threads": blas_threads(),
     }
 
 
