@@ -201,9 +201,11 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
     registry_mark: dict = {}
     drops_shipped = 0
     if telemetry_config is not None and telemetry_config.enabled:
-        # The parent owns the span log and ring; here the ring is just a
-        # local debugging aid and the export buffer is the real sink.
-        tracer = Tracer(telemetry_config.with_(jsonl_path=""))
+        # The parent owns the span log and ring; the export buffer is the
+        # real sink here.  The local ring keeps only the latest event: a
+        # full-size one would hold every span of the run in this process and
+        # make each garbage-collection pass stall the serving threads longer.
+        tracer = Tracer(telemetry_config.with_(jsonl_path="", ring_capacity=1))
         span_buffer = SpanExportBuffer(
             capacity=max(telemetry_config.ring_capacity, 4096)
         )
@@ -557,23 +559,27 @@ class ProcessReplica:
             return
         offset = self.clock_offset_s if self.clock_offset_s is not None else 0.0
         base = self._trace_namespace << _TRACE_NAMESPACE_BITS
-        # One construction per event (payloads are SpanEvent.to_dict output):
-        # the parent ingests ~10 per fleet frame on the cores its shards use.
+        # One positional construction per event and no dict copies (payloads
+        # are freshly unpickled SpanEvent.to_dict output owned here, so their
+        # attrs dict is extended in place): the parent ingests ~10 per fleet
+        # frame on the cores its shards use.
         trace_id, parent_id = payload["trace_id"], payload["parent_id"]
+        attrs = payload["attrs"]
+        attrs["os_pid"] = self.pid if self.pid is not None else -1
+        attrs["generation"] = self.generation
         tracer.ingest(
             SpanEvent(
-                **{
-                    **payload,
-                    "trace_id": trace_id + base if trace_id > 0 else trace_id,
-                    "span_id": payload["span_id"] + base,
-                    "parent_id": None if parent_id is None else parent_id + base,
-                    "start_s": payload["start_s"] - offset,
-                    "attrs": {
-                        **payload["attrs"],
-                        "os_pid": self.pid if self.pid is not None else -1,
-                        "generation": self.generation,
-                    },
-                }
+                payload["name"],
+                payload["kind"],
+                trace_id + base if trace_id > 0 else trace_id,
+                payload["span_id"] + base,
+                None if parent_id is None else parent_id + base,
+                payload["start_s"] - offset,
+                payload["duration_s"],
+                payload["stream_id"],
+                payload["frame_index"],
+                payload["shard_id"],
+                attrs,
             )
         )
 

@@ -64,17 +64,21 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     boxes_b = _as_boxes(boxes_b)
     if boxes_a.shape[0] == 0 or boxes_b.shape[0] == 0:
         return np.zeros((boxes_a.shape[0], boxes_b.shape[0]), dtype=np.float32)
+    # Every step writes into one of the four corner temporaries in place.
     x1 = np.maximum(boxes_a[:, None, 0], boxes_b[None, :, 0])
     y1 = np.maximum(boxes_a[:, None, 1], boxes_b[None, :, 1])
-    x2 = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2])
-    y2 = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3])
-    inter = np.maximum(x2 - x1, 0.0) * np.maximum(y2 - y1, 0.0)
-    areas_a = box_areas(boxes_a)[:, None]
-    areas_b = box_areas(boxes_b)[None, :]
-    union = areas_a + areas_b - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.where(union > 0, inter / union, 0.0)
-    return iou.astype(np.float32)
+    inter = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2])
+    height = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3])
+    zero = np.float32(0)
+    np.maximum(np.subtract(inter, x1, out=inter), zero, out=inter)
+    np.maximum(np.subtract(height, y1, out=height), zero, out=height)
+    np.multiply(inter, height, out=inter)
+    union = np.add(box_areas(boxes_a)[:, None], box_areas(boxes_b)[None, :], out=x1)
+    np.subtract(union, inter, out=union)
+    valid = np.greater(union, zero, out=np.empty(union.shape, dtype=bool))
+    iou = np.divide(inter, union, out=y1, where=valid)
+    iou[~valid] = zero
+    return iou
 
 
 def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -14,15 +14,27 @@ from repro.detection.boxes import iou_matrix
 __all__ = ["nms", "batched_nms"]
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Greedy NMS; returns indices of kept boxes, highest score first."""
+def nms(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    iou_threshold: float,
+    max_keep: int | None = None,
+) -> np.ndarray:
+    """Greedy NMS; returns indices of kept boxes, highest score first.
+
+    ``max_keep`` stops the greedy pass once that many boxes are kept — the
+    same result as slicing the full output to ``[:max_keep]``.
+    """
     boxes = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float32).reshape(-1)
     if boxes.shape[0] != scores.shape[0]:
         raise ValueError(f"{boxes.shape[0]} boxes but {scores.shape[0]} scores")
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    if boxes.shape[0] == 0:
+    if max_keep is not None and max_keep < 0:
+        raise ValueError(f"max_keep must be >= 0, got {max_keep}")
+    limit = boxes.shape[0] if max_keep is None else min(max_keep, boxes.shape[0])
+    if limit == 0:
         return np.zeros((0,), dtype=np.int64)
 
     order = np.argsort(-scores, kind="stable")
@@ -33,6 +45,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarr
         if suppressed[idx]:
             continue
         keep.append(int(idx))
+        if len(keep) == limit:
+            break
         suppressed |= ious[idx] > iou_threshold
         suppressed[idx] = True
     return np.asarray(keep, dtype=np.int64)
@@ -43,6 +57,7 @@ def batched_nms(
     scores: np.ndarray,
     class_ids: np.ndarray,
     iou_threshold: float,
+    max_keep: int | None = None,
 ) -> np.ndarray:
     """Class-wise NMS: boxes of different classes never suppress each other."""
     boxes = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
@@ -57,5 +72,4 @@ def batched_nms(
     max_coord = float(boxes.max()) + 1.0 if boxes.size else 1.0
     offsets = class_ids.astype(np.float32) * max_coord
     shifted = boxes + offsets[:, None]
-    keep = nms(shifted, scores, iou_threshold)
-    return keep
+    return nms(shifted, scores, iou_threshold, max_keep)

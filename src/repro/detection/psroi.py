@@ -4,12 +4,15 @@ Each RoI is divided into a ``k x k`` grid of bins; bin ``(i, j)`` average-pools
 *only* the channel group dedicated to that bin.  A final vote (mean over the
 grid) produces the per-RoI output.
 
-The implementation is fully vectorised: the forward pass evaluates every
-rectangular bin sum through a 2-D integral image (summed-area table), and the
-backward pass scatters the four signed corner impulses of each bin and
-recovers the dense gradient with two cumulative sums — the adjoint of the
-integral-image lookup.  Both passes cost O(batch x channels x H x W + R x k^2)
-instead of a Python loop over every (RoI, bin) pair.
+The forward pass evaluates every rectangular bin sum through a 2-D integral
+image (summed-area table) and one vectorised four-corner gather over all
+(RoI, channel, bin) triples; the backward pass scatters the four signed corner
+impulses of each bin and recovers the dense gradient with two cumulative sums
+— the adjoint of the integral-image lookup.  Both cost
+O(batch x channels x H x W + R x k^2 x output_dim) instead of a Python loop
+over every (RoI, bin) pair.  At inference, :func:`psroi_votes` pools the
+class and box maps of the R-FCN head from one buffer in one such pass and
+returns the bin-mean votes directly.
 
 The operator is batch-first: ``score_maps`` may hold several images and each
 RoI carries a batch index selecting the image it pools from, so one pass
@@ -20,12 +23,14 @@ pooling each image alone.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn.layers import is_inference
 from repro.profiling import stage
 
-__all__ = ["PSRoIPool"]
+__all__ = ["PSRoIPool", "psroi_votes"]
 
 
 class PSRoIPool:
@@ -47,8 +52,7 @@ class PSRoIPool:
         default ``float64`` keeps bin sums exact enough that batched pooling
         is bit-identical to per-image pooling (the equivalence guarantee the
         serving stack relies on).  ``float32`` halves the integral image's
-        memory traffic and skips the up-cast copy of the score maps — the
-        profile-guided fast path for deployments that accept detections
+        memory traffic — the profile-guided fast path for deployments that accept detections
         matching the float64 path within a small tolerance instead of bit for
         bit.  The backward pass always accumulates in float64; the dtype knob
         is inference-only.
@@ -145,83 +149,9 @@ class PSRoIPool:
             raise ValueError(
                 f"score_maps have {score_maps.shape[1]} channels, expected {self.expected_channels}"
             )
-        k = self.group_size
-        dim = self.output_dim
-        num_rois = rois.shape[0]
-        batch, _, height, width = score_maps.shape
-        if batch_indices is None:
-            if batch != 1:
-                raise ValueError("batch_indices is required for multi-image score_maps")
-            batch_indices = np.zeros(num_rois, dtype=np.int64)
-        else:
-            batch_indices = np.asarray(batch_indices, dtype=np.int64).reshape(-1)
-            if batch_indices.shape[0] != num_rois:
-                raise ValueError(
-                    f"{num_rois} rois but {batch_indices.shape[0]} batch indices"
-                )
-        output = np.zeros((num_rois, dim, k, k), dtype=np.float32)
-        if num_rois == 0:
-            if not is_inference():
-                self._cache = {
-                    "maps_shape": np.asarray(score_maps.shape),
-                    "batch_indices": batch_indices,
-                    "ys": np.zeros((0, k, k), np.int64),
-                    "ye": np.zeros((0, k, k), np.int64),
-                    "xs": np.zeros((0, k, k), np.int64),
-                    "xe": np.zeros((0, k, k), np.int64),
-                    "counts": np.zeros((0, k, k), np.float32),
-                }
-            return output
-
+        batch_indices = _batch_column(batch_indices, rois.shape[0], score_maps.shape[0])
         with stage("detect/psroi"):
-            return self._pool(score_maps, rois, batch_indices, output)
-
-    def _pool(
-        self,
-        score_maps: np.ndarray,
-        rois: np.ndarray,
-        batch_indices: np.ndarray,
-        output: np.ndarray,
-    ) -> np.ndarray:
-        k = self.group_size
-        dim = self.output_dim
-        batch, _, height, width = score_maps.shape
-        ys, ye, xs, xe = self._bin_edges(rois, height, width)
-        counts = np.maximum((ye - ys) * (xe - xs), 0).astype(np.float32)
-
-        # Integral image per (image, channel):
-        # I[b, c, y, x] = sum(maps[b, c, :y, :x]).  Cumulative sums run along
-        # the spatial axes only, so each image's table is independent of its
-        # batch neighbours (batched pooling == per-image pooling, bit for bit).
-        # ``integral_dtype`` trades that float64 exactness for bandwidth.
-        maps = score_maps.astype(self.integral_dtype, copy=False)
-        integral = np.zeros(
-            (batch, maps.shape[1], height + 1, width + 1), dtype=self.integral_dtype
-        )
-        integral[:, :, 1:, 1:] = maps.cumsum(axis=2).cumsum(axis=3)
-
-        grouped = integral.reshape(batch, k * k, dim, height + 1, width + 1)
-        roi_batch = batch_indices
-        for bin_row in range(k):
-            for bin_col in range(k):
-                bin_index = bin_row * k + bin_col
-                block = grouped[:, bin_index]  # (B, dim, H+1, W+1)
-                y0 = ys[:, bin_row, bin_col]
-                y1 = ye[:, bin_row, bin_col]
-                x0 = xs[:, bin_row, bin_col]
-                x1 = xe[:, bin_row, bin_col]
-                sums = (
-                    block[roi_batch, :, y1, x1]
-                    - block[roi_batch, :, y0, x1]
-                    - block[roi_batch, :, y1, x0]
-                    + block[roi_batch, :, y0, x0]
-                )  # (R, dim)
-                count = counts[:, bin_row, bin_col]
-                valid = count > 0
-                means = np.zeros_like(sums)
-                means[valid] = sums[valid] / count[valid, None]
-                output[:, :, bin_row, bin_col] = means
-
+            output, (ys, ye, xs, xe), counts = _pool_bins([self], score_maps, rois, batch_indices)
         if not is_inference():
             self._cache = {
                 "maps_shape": np.asarray(score_maps.shape),
@@ -283,3 +213,89 @@ class PSRoIPool:
 
         dense = np.cumsum(np.cumsum(corners, axis=2), axis=3)[:, :, :height, :width]
         return dense.astype(np.float32)
+
+
+def _batch_column(batch_indices: np.ndarray | None, num_rois: int, batch: int) -> np.ndarray:
+    """The (R,) int64 image index of every RoI (zeros when B == 1 and omitted)."""
+    if batch_indices is None:
+        if batch != 1:
+            raise ValueError("batch_indices is required for multi-image score_maps")
+        return np.zeros(num_rois, dtype=np.int64)
+    batch_indices = np.asarray(batch_indices, dtype=np.int64).reshape(-1)
+    if batch_indices.shape[0] != num_rois:
+        raise ValueError(f"{num_rois} rois but {batch_indices.shape[0]} batch indices")
+    return batch_indices
+
+
+def _pool_bins(
+    pools: Sequence[PSRoIPool],
+    score_maps: np.ndarray,
+    rois: np.ndarray,
+    batch_indices: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """Bin means of the pools' consecutive channel ranges of ``score_maps``.
+
+    Returns the (R, D, k, k) float32 means (``D`` = the pools' summed
+    ``output_dim``; zeros for empty bins), the (R, k, k) bin edges and cell
+    counts.  One summed-area table ``I[b, c, y, x] = sum(maps[b, c, :y, :x])``
+    covers every channel; it is filled by cumulative sums in the integral
+    dtype straight into the table (no up-cast copy of the maps).  The sums run
+    along the spatial axes only, so each image's table is independent of its
+    batch neighbours (batched pooling == per-image pooling, bit for bit).
+    Every (RoI, channel, bin) sum is then one four-corner gather.
+    """
+    first = pools[0]
+    k = first.group_size
+    bins = k * k
+    batch, channels, height, width = score_maps.shape
+    edges = first._bin_edges(rois, height, width)
+    ys, ye, xs, xe = edges
+    counts = np.maximum((ye - ys) * (xe - xs), 0).astype(np.float32)
+
+    integral = np.zeros((batch, channels, height + 1, width + 1), dtype=first.integral_dtype)
+    inner = integral[:, :, 1:, 1:]
+    np.cumsum(score_maps, axis=2, dtype=first.integral_dtype, out=inner)
+    np.cumsum(inner, axis=3, out=inner)
+
+    # Channel of (output j, bin b) in pool p: offset_p + b * dim_p + j.
+    offsets = np.cumsum([0] + [pool.expected_channels for pool in pools])
+    channel = np.concatenate(
+        [
+            start + np.arange(bins) * pool.output_dim + np.arange(pool.output_dim)[:, None]
+            for start, pool in zip(offsets, pools)
+        ]
+    )  # (D, k*k) and C-ordered, so every RoI's k*k bins stay contiguous
+    # for the vote's mean (a strided layout would reduce in another order).
+    plane = (height + 1) * (width + 1)
+    base = (batch_indices * channels)[:, None, None] * plane + channel * plane
+    flat = integral.reshape(-1)
+
+    def corner(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return flat[base + (y * (width + 1) + x).reshape(-1, 1, bins)]
+
+    sums = corner(ye, xe) - corner(ys, xe) - corner(ye, xs) + corner(ys, xs)
+    cells = counts.reshape(-1, 1, bins)
+    means = np.divide(sums, cells, out=np.zeros_like(sums), where=cells > 0)
+    return means.astype(np.float32).reshape(rois.shape[0], len(channel), k, k), edges, counts
+
+
+def psroi_votes(
+    pools: Sequence[PSRoIPool],
+    score_maps: np.ndarray,
+    rois: np.ndarray,
+    batch_indices: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Inference: pool every pool's channel range of ``score_maps`` in one pass.
+
+    ``score_maps`` stacks the pools' position-sensitive maps along the
+    channel axis, in ``pools`` order; the pools must share group size,
+    spatial scale and integral dtype.  Returns each pool's (R, output_dim)
+    vote: the mean over its k x k bins (R-FCN's average voting).
+    """
+    if score_maps.shape[1] != sum(pool.expected_channels for pool in pools):
+        raise ValueError(f"score_maps have {score_maps.shape[1]} channels, expected the pools' sum")
+    batch_indices = _batch_column(batch_indices, rois.shape[0], score_maps.shape[0])
+    with stage("detect/psroi"):
+        pooled = _pool_bins(pools, score_maps, rois, batch_indices)[0]
+        bounds = np.cumsum([0] + [pool.output_dim for pool in pools])
+        return [pooled[:, start:stop].mean(axis=(2, 3)) for start, stop in zip(bounds, bounds[1:])]

@@ -16,11 +16,16 @@ The detector exposes three levels of API:
 Inference runs inside :func:`repro.nn.inference_mode`, which makes every
 forward side-effect free (safe to share one detector across serving worker
 threads) and batch-invariant (a frame detected inside a micro-batch is
-bit-identical to the same frame detected alone).
+bit-identical to the same frame detected alone).  In that mode the head's
+class and box position-sensitive GEMMs write into one buffer that a single
+PS-RoI pass pools and votes on, NMS stops at the boxes it keeps, and the
+score threshold selects every class's candidates in one pass; the training
+path (separate maps and pools, cached for backward) computes the same bytes.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,7 +38,7 @@ from repro.detection.boxes import clip_boxes_, decode_boxes, encode_boxes
 from repro.detection.losses import DetectionLossResult, detection_loss
 from repro.detection.matcher import match_boxes
 from repro.detection.nms import batched_nms
-from repro.detection.psroi import PSRoIPool
+from repro.detection.psroi import PSRoIPool, psroi_votes
 from repro.detection.rpn import RPNHead, RPNOutput
 from repro.nn.functional import softmax
 from repro.nn.layers import Conv2d, Module, ReLU, Sequential, inference_mode, is_inference
@@ -205,6 +210,19 @@ class RFCNDetector(Module):
         with stage("detect/head"):
             rois = np.asarray(rois, dtype=np.float32).reshape(-1, 4)
             neck = self.neck_relu(self.neck_conv(features))
+            if is_inference():
+                # Both position-sensitive GEMMs write their own channel range
+                # of one buffer, which one PS-RoI pass pools and votes on.
+                batch, _, height, width = neck.shape
+                split = self.cls_pool.expected_channels
+                channels = split + self.bbox_pool.expected_channels
+                maps = np.empty((batch, channels, height, width), dtype=np.float32)
+                self.cls_ps_conv(neck, out=maps[:, :split])
+                self.bbox_ps_conv(neck, out=maps[:, split:])
+                roi_logits, roi_deltas = psroi_votes(
+                    (self.cls_pool, self.bbox_pool), maps, rois, batch_indices
+                )
+                return roi_logits, roi_deltas
             cls_maps = self.cls_ps_conv(neck)
             bbox_maps = self.bbox_ps_conv(neck)
             pooled_cls = self.cls_pool.forward(cls_maps, rois, batch_indices)
@@ -212,12 +230,11 @@ class RFCNDetector(Module):
             # Voting: average over the k x k position-sensitive bins.
             roi_logits = pooled_cls.mean(axis=(2, 3))
             roi_deltas = pooled_bbox.mean(axis=(2, 3))
-        if not is_inference():
-            self._head_cache = {
-                "num_rois": np.asarray(rois.shape[0]),
-                "pooled_shape_cls": np.asarray(pooled_cls.shape),
-                "pooled_shape_bbox": np.asarray(pooled_bbox.shape),
-            }
+        self._head_cache = {
+            "num_rois": np.asarray(rois.shape[0]),
+            "pooled_shape_cls": np.asarray(pooled_cls.shape),
+            "pooled_shape_bbox": np.asarray(pooled_bbox.shape),
+        }
         return roi_logits, roi_deltas
 
     def head_backward(self, grad_logits: np.ndarray, grad_deltas: np.ndarray) -> np.ndarray:
@@ -300,19 +317,19 @@ class RFCNDetector(Module):
         tensors share a spatial shape are stacked into one NCHW tensor, and
         backbone + RPN + head each run once per stack; only the final per-image
         NMS fans back out.  ``target_scales`` may be a single scale applied to
-        every image or one (possibly ``None``) scale per image.
+        every image or one (possibly ``None``) scale per image; any integer type
+        (Python or NumPy) is accepted and stored as a Python ``int``.
 
         Outputs are bit-identical to calling :meth:`detect` frame by frame —
         inference-mode kernels are batch-invariant — so batching is purely a
         throughput optimisation.
         """
         images = list(images)
-        if target_scales is None or isinstance(target_scales, int):
-            scales: list[int | None] = [target_scales] * len(images)
-        else:
-            scales = list(target_scales)
-            if len(scales) != len(images):
-                raise ValueError(f"{len(images)} images but {len(scales)} target scales")
+        if target_scales is None or isinstance(target_scales, numbers.Integral):
+            target_scales = [target_scales] * len(images)
+        scales = [None if scale is None else int(scale) for scale in target_scales]
+        if len(scales) != len(images):
+            raise ValueError(f"{len(images)} images but {len(scales)} target scales")
         if not images:
             return []
 
@@ -486,29 +503,23 @@ class RFCNDetector(Module):
         image_size: tuple[int, int],
         threshold: float,
     ) -> DetectionResult:
-        boxes_list: list[np.ndarray] = []
-        scores_list: list[np.ndarray] = []
-        classes_list: list[np.ndarray] = []
-        probs_list: list[np.ndarray] = []
-        for class_index in range(1, self.config.num_classes + 1):
-            class_scores = probs[:, class_index]
-            keep = class_scores >= threshold
-            if not np.any(keep):
-                continue
-            boxes_list.append(refined[keep])
-            scores_list.append(class_scores[keep])
-            classes_list.append(np.full(int(keep.sum()), class_index - 1, dtype=np.int64))
-            probs_list.append(probs[keep])
-
-        if not boxes_list:
+        # Class-major candidates (every RoI of class 1, then class 2, ...),
+        # the order batched_nms breaks score ties in.
+        class_index, roi_index = np.nonzero(probs[:, 1:].T >= threshold)
+        if roi_index.size == 0:
             return self._empty_result(features, proposals, scale_factor, target_scale, image_size)
 
-        all_boxes = np.concatenate(boxes_list, axis=0)
-        all_scores = np.concatenate(scores_list, axis=0)
-        all_classes = np.concatenate(classes_list, axis=0)
-        all_probs = np.concatenate(probs_list, axis=0)
-        keep = batched_nms(all_boxes, all_scores, all_classes, self.config.nms_threshold)
-        keep = keep[: self.config.max_detections]
+        all_boxes = refined[roi_index]
+        all_scores = probs[roi_index, class_index + 1]
+        all_classes = class_index.astype(np.int64, copy=False)
+        all_probs = probs[roi_index]
+        keep = batched_nms(
+            all_boxes,
+            all_scores,
+            all_classes,
+            self.config.nms_threshold,
+            max_keep=self.config.max_detections,
+        )
 
         return DetectionResult(
             boxes=(all_boxes[keep] / scale_factor).astype(np.float32),

@@ -203,6 +203,6 @@ class RPNHead(Module):
                     continue
                 order = np.argsort(-scores, kind="stable")[:pre_nms]
                 boxes, scores = boxes[order], scores[order]
-                keep_nms = nms(boxes, scores, config.rpn_nms_threshold)[:post_nms]
+                keep_nms = nms(boxes, scores, config.rpn_nms_threshold, max_keep=post_nms)
                 results.append((boxes[keep_nms], scores[keep_nms]))
             return results

@@ -146,9 +146,9 @@ def im2col(
     """Unfold ``x`` (N, C, H, W) into columns of shape (C*fh*fw, N*OH*OW).
 
     Columns are batch-major: image ``n``'s positions occupy the contiguous
-    block ``[n*OH*OW, (n+1)*OH*OW)``, matching the
-    ``(out_channels, N, OH, OW)`` reshape the convolution layers apply to the
-    GEMM output.
+    block ``[n*OH*OW, (n+1)*OH*OW)``: an inference convolution multiplies
+    each block into sample ``n``'s output, and training reshapes one GEMM's
+    output to ``(out_channels, N, OH, OW)``.
 
     ``reuse_buffer=True`` lets the unfold write into a thread-local scratch
     buffer (see :func:`repro.nn.runtime.scratch`); callers must consume the

@@ -20,9 +20,14 @@ batch is bit-identical to running sample ``n`` alone.  Elementwise and
 per-sample reductions have this property for free; the matrix products in
 :class:`Conv2d` and :class:`Linear` do not (BLAS picks different kernels for
 different shapes), so in inference mode they run one GEMM per sample over the
-batched ``im2col`` buffer.  That keeps all the Python-dispatch, gather and
-layout amortisation of batching while making scale-bucketed micro-batches
-bit-identical to sequential single-frame execution.
+batched ``im2col`` buffer (a 1x1, stride-1, unpadded convolution skips the
+unfold and multiplies the sample's own (C, H*W) view).  Each sample's GEMM
+writes straight into its slab of the (N, O, H', W') output, so no transpose
+copy follows.  That keeps all the Python-dispatch, gather and layout
+amortisation of batching while making scale-bucketed micro-batches
+bit-identical to sequential single-frame execution.  The eager training path
+(one GEMM over the whole batch, columns cached for backward) is the oracle
+the inference path is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.nn import init, runtime
+from repro.nn import init
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.nn.tensor import Parameter
 from repro.profiling import stage
@@ -77,30 +82,6 @@ class inference_mode:
 
     def __exit__(self, *exc_info: object) -> None:
         _INFERENCE_STATE.depth = getattr(_INFERENCE_STATE, "depth", 1) - 1
-
-
-def _per_sample_matmul(matrix: np.ndarray, cols: np.ndarray, batch: int) -> np.ndarray:
-    """``matrix @ cols`` computed per batch-major column block.
-
-    BLAS kernel selection depends on the operand shapes, so a single GEMM over
-    an N-image column buffer is *not* bit-identical per column to the N=1
-    call.  One GEMM per sample (same m/k/n as the single-image path) is.
-
-    The output lives in a reusable thread-local scratch buffer (inference
-    callers copy it into their result before the next convolution runs).  A
-    single-output-channel GEMM keeps a fresh allocation: the convolution's
-    final reshape+transpose stays contiguous there and would otherwise return
-    a view that aliases the scratch buffer.
-    """
-    if matrix.shape[0] > 1:
-        out = runtime.scratch("conv.gemm", (matrix.shape[0], cols.shape[1]), np.float32)
-    else:
-        out = np.empty((matrix.shape[0], cols.shape[1]), dtype=np.float32)
-    per_sample = cols.shape[1] // batch
-    for index in range(batch):
-        block = slice(index * per_sample, (index + 1) * per_sample)
-        np.matmul(matrix, cols[:, block], out=out[:, block])
-    return out
 
 
 class Module:
@@ -272,42 +253,48 @@ class Conv2d(Module):
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
         self._stage_name = f"nn/{name}"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Convolve ``x``; in inference mode ``out`` may name the (N, O, H', W')
+        destination, e.g. a channel range of a larger buffer (each sample's
+        slab must be contiguous)."""
         with stage(self._stage_name):
+            if is_inference():
+                return self._infer(np.asarray(x, dtype=np.float32), out)
             return self._forward(x)
+
+    def _infer(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        batch, _, height, width = x.shape
+        out_h, out_w = self.output_shape(height, width)
+        if out is None:
+            out = np.empty((batch, self.out_channels, out_h, out_w), dtype=np.float32)
+        if self.kernel_size == 1 and self.stride == 1 and self.padding == 0:
+            samples = x.reshape(batch, self.in_channels, height * width)
+        else:
+            # The unfold lives in thread-local scratch: it is consumed here.
+            cols = im2col(
+                x, self.kernel_size, self.kernel_size, self.padding, self.stride, reuse_buffer=True
+            )
+            samples = cols.reshape(cols.shape[0], batch, -1).transpose(1, 0, 2)
+        # A stacked matmul runs one GEMM per sample (same m/k/n as batch 1).
+        np.matmul(
+            self.weight.data.reshape(self.out_channels, -1),
+            samples,
+            out=out.reshape(batch, self.out_channels, out_h * out_w),
+        )
+        if self.bias is not None:
+            out += self.bias.data[:, None, None]
+        return out
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
         batch, _, height, width = x.shape
-        out_h = conv_output_size(height, self.kernel_size, self.padding, self.stride)
-        out_w = conv_output_size(width, self.kernel_size, self.padding, self.stride)
-        inference = is_inference()
-        # Inference never retains the column buffer, so it may live in (and
-        # repeatedly reuse) a thread-local scratch allocation; training caches
-        # it for backward and therefore gets a fresh array.
-        cols = im2col(
-            x,
-            self.kernel_size,
-            self.kernel_size,
-            self.padding,
-            self.stride,
-            reuse_buffer=inference,
-        )
-        weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        # The GEMM output may live in a reusable scratch buffer ONLY when the
-        # final np.ascontiguousarray is guaranteed to copy (the transposed
-        # view is non-contiguous exactly when both moved axes have size > 1).
-        # Otherwise the returned tensor would alias the scratch buffer and be
-        # silently overwritten by the next same-shape convolution.
-        if inference and batch > 1:
-            out = _per_sample_matmul(weight_matrix, cols, batch)
-        else:
-            out = weight_matrix @ cols
+        out_h, out_w = self.output_shape(height, width)
+        cols = im2col(x, self.kernel_size, self.kernel_size, self.padding, self.stride)
+        out = self.weight.data.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
             out += self.bias.data[:, None]
         out = out.reshape(self.out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
-        if not inference:
-            self._cache = (cols, x.shape)
+        self._cache = (cols, x.shape)
         return np.ascontiguousarray(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -405,10 +392,10 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        if not is_inference():
-            self._mask = mask
-        return np.where(mask, x, 0.0).astype(np.float32)
+        if is_inference():
+            return np.maximum(x, np.float32(0))
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0).astype(np.float32)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -1,7 +1,7 @@
 """Inference-runtime options, reusable scratch buffers and the BLAS thread pin.
 
 The profile-guided optimization pass (im2col plan cache, strided im2col
-gather, precomputed anchor grids, reused GEMM output buffers) is **bit-exact**:
+gather, precomputed anchor grids, reused im2col buffers) is **bit-exact**:
 every optimization produces byte-identical numerics to the unoptimized code
 path.  They are nevertheless individually toggleable so the benchmark harness
 can measure the pre-optimization baseline in the same process — an honest
@@ -10,17 +10,17 @@ apples-to-apples A/B on the same machine, same build, same load.
 Scratch buffers
 ---------------
 ``scratch(tag, shape, dtype)`` hands out a reusable, *thread-local* ndarray.
-NumPy otherwise allocates a fresh output buffer for every im2col unfold and
-every GEMM; at serving rates that means thousands of large allocations per
-second whose page faults show up prominently in the profile.  Each calling
+NumPy otherwise allocates a fresh buffer for every padded input and im2col
+unfold; at serving rates that means thousands of large allocations per second
+whose page faults show up prominently in the profile.  Each calling
 thread owns one flat grow-only buffer per ``(tag, dtype)`` — an arena, not a
 shape-keyed cache — and every request is a reshaped view of its front, so a
 frame at a never-seen scale costs the same as a repeated one and memory is
 bounded by the largest request per tag; serving workers never share (or lock)
 them.  Callers must follow one rule: a scratch buffer is only valid until the
 same ``tag`` is requested again on the same thread, whatever the shape —
-never store one in a result object (inference code copies into fresh arrays
-before returning, e.g. the convolution output transpose).
+never store one in a result object (an inference convolution consumes its
+unfold at once and writes its GEMMs into a fresh output array).
 
 Importing :mod:`repro` calls ``pin_blas_threads()``: one executor (serving
 worker, process shard, CLI caller), one core.  OpenBLAS helper threads would
@@ -109,7 +109,7 @@ class RuntimeOptions:
     fast_im2col: bool = True
     #: cache tiled anchor grids keyed by feature shape
     anchor_cache: bool = True
-    #: reuse thread-local GEMM / im2col output buffers in inference mode
+    #: reuse thread-local im2col pad / column buffers in inference mode
     scratch_buffers: bool = True
 
 
