@@ -10,7 +10,10 @@ Environment knobs:
 
 * ``REPRO_BENCH_FAST=1`` — shrink training schedules (useful for smoke runs).
 * ``REPRO_BENCH_CACHE=<dir>`` — override the cache directory.
-* ``REPRO_BENCH_RESULTS=<dir>`` — override the results directory.
+* ``REPRO_BENCH_RESULTS=<dir>`` — where results are written.  ``repro bench``
+  always sets it (``benchmarks/results`` unless ``--results-dir`` says
+  otherwise); a plain ``pytest`` run writes under the cache directory, so
+  running the suite never rewrites the committed results.
 
 Every ``write_result`` call also emits a schema-versioned, machine-readable
 ``BENCH_<name>.json`` next to the ``.txt`` table (see
@@ -34,8 +37,8 @@ from repro.data.synthetic_vid import SyntheticVID
 from repro.profiling import write_bench_json
 
 BENCH_DIR = Path(__file__).parent
-RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS", BENCH_DIR / "results"))
 CACHE_DIR = Path(os.environ.get("REPRO_BENCH_CACHE", BENCH_DIR / ".cache"))
+RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS", CACHE_DIR / "results"))
 FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0", "false")
 
 
@@ -72,7 +75,7 @@ def write_result(
     data: Mapping[str, Any] | None = None,
     profile: Any | None = None,
 ) -> Path:
-    """Persist a benchmark's report under ``benchmarks/results``.
+    """Persist a benchmark's report under ``RESULTS_DIR``.
 
     Writes the human-readable ``<name>.txt`` table plus the machine-readable
     ``BENCH_<name>.json`` artefact.  ``data`` carries the structured metrics

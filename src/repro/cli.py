@@ -990,14 +990,12 @@ def _run_bench(args: argparse.Namespace) -> int:
         selection = list(benchmarks)
 
     extra_args: list[str] = []
-    overrides: dict[str, str] = {}
+    overrides: dict[str, str] = {"REPRO_BENCH_RESULTS": str(results_dir)}
     if args.fast:
         overrides["REPRO_BENCH_FAST"] = "1"
         # Smoke runs want one sample per pytest-benchmark site, not a
         # calibrated timing loop; the JSON artefacts carry the real numbers.
         extra_args.append("--benchmark-disable")
-    if args.results_dir is not None:
-        overrides["REPRO_BENCH_RESULTS"] = str(results_dir)
 
     # The env vars are how benchmarks/conftest.py picks the settings up; keep
     # the mutation scoped to this invocation so nothing leaks into the rest of

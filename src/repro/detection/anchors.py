@@ -8,23 +8,16 @@ largest anchor are detected *better* after the image is down-sampled.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.nn import runtime
-
 __all__ = ["generate_base_anchors", "generate_anchors", "clear_anchor_cache"]
-
-#: Tiled anchor grids keyed by (H, W, stride, sizes, ratios).  A detector
-#: revisits the same handful of feature shapes (one per image scale) for every
-#: frame it serves, and tiling the grid costs more than the RPN's per-anchor
-#: arithmetic that consumes it — a textbook profile-guided cache.  Entries are
-#: returned read-only so a cached grid can be shared by all callers.
-_ANCHOR_CACHE = runtime.LruCache(maxsize=128)
 
 
 def clear_anchor_cache() -> None:
     """Empty the anchor-grid cache (mainly for tests)."""
-    _ANCHOR_CACHE.clear()
+    _anchor_grid.cache_clear()
 
 
 def generate_base_anchors(
@@ -64,18 +57,32 @@ def generate_anchors(
     Returns an (feature_height * feature_width * A, 4) array in input-image
     coordinates, ordered so that all A anchors of a spatial position are
     contiguous, positions in row-major order — the layout the RPN head's
-    output channels are reshaped to.
+    output channels are reshaped to.  The array is cached per shape and
+    read-only; copy it before writing.
     """
     if feature_height <= 0 or feature_width <= 0:
         raise ValueError("feature map dimensions must be positive")
     if feature_stride <= 0:
         raise ValueError("feature_stride must be positive")
-    use_cache = runtime.options().anchor_cache
-    key = (feature_height, feature_width, feature_stride, tuple(sizes), tuple(ratios))
-    if use_cache:
-        cached = _ANCHOR_CACHE.get(key)
-        if cached is not None:
-            return cached
+    return _anchor_grid(
+        feature_height, feature_width, feature_stride, tuple(sizes), tuple(ratios)
+    )
+
+
+@lru_cache(maxsize=128)
+def _anchor_grid(
+    feature_height: int,
+    feature_width: int,
+    feature_stride: int,
+    sizes: tuple[int, ...],
+    ratios: tuple[float, ...],
+) -> np.ndarray:
+    """The tiled grid, memoised per shape and read-only so callers share it.
+
+    A detector revisits the same handful of feature shapes (one per image
+    scale) for every frame it serves, and tiling the grid costs more than the
+    RPN's per-anchor arithmetic that consumes it.
+    """
     base = generate_base_anchors(sizes, ratios)
     shift_x = (np.arange(feature_width, dtype=np.float32) + 0.5) * feature_stride
     shift_y = (np.arange(feature_height, dtype=np.float32) + 0.5) * feature_stride
@@ -85,7 +92,5 @@ def generate_anchors(
     )
     anchors = shifts[:, None, :] + base[None, :, :]
     anchors = anchors.reshape(-1, 4).astype(np.float32)
-    if use_cache:
-        anchors.setflags(write=False)
-        _ANCHOR_CACHE.put(key, anchors)
+    anchors.setflags(write=False)
     return anchors

@@ -34,7 +34,6 @@ from repro.nn.losses import (
     softmax_cross_entropy,
 )
 from repro.nn.optim import SGD, Adam, MultiStepLR
-from repro.nn.runtime import RuntimeOptions, runtime_options
 from repro.nn.tensor import Parameter
 
 __all__ = [
@@ -52,10 +51,8 @@ __all__ = [
     "MultiStepLR",
     "Parameter",
     "ReLU",
-    "RuntimeOptions",
     "SGD",
     "Sequential",
-    "runtime_options",
     "bilinear_resize",
     "inference_mode",
     "is_inference",

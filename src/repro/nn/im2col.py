@@ -5,22 +5,17 @@ column so a convolution becomes a single matrix multiplication — the standard
 trick for fast CPU convolutions without hand-written C loops.  ``col2im`` is
 its adjoint and is used by the convolution backward pass.
 
-Two profile-guided optimizations live here, both bit-exact and both
-toggleable through :mod:`repro.nn.runtime` (so benchmarks can measure the
-unoptimized baseline):
-
-* **plan cache** — the (channel, row, col) gather plans of
-  :func:`im2col_indices` depend only on the input *shape*, not its values;
-  detectors run the same handful of shapes over and over (one per backbone
-  stage per image scale), so plans are cached in a small LRU keyed by shape.
-* **strided unfold** — the forward unfold is computed from a
-  ``sliding_window_view`` (pure stride arithmetic) plus one contiguous copy,
-  instead of materialising index arrays and running a fancy-index gather.
-  The element values, layout and dtype are identical; only the gather
-  mechanism changes.
+The unfold is a ``sliding_window_view`` (pure stride arithmetic) plus one
+contiguous copy, written into a thread-local scratch buffer when the caller
+allows it (:func:`repro.nn.runtime.scratch`).  ``col2im`` scatter-adds through
+the (channel, row, col) index plans of :func:`im2col_indices`; those depend
+only on the input *shape*, so they are memoised per shape and shared
+read-only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,21 +43,8 @@ def conv_output_size(size: int, field: int, padding: int, stride: int) -> int:
     return out
 
 
-#: Gather plans keyed by (channels, H, W, fh, fw, padding, stride).
-_PLANS = runtime.LruCache(maxsize=64)
-
-
-def plan_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters of the im2col plan cache (for bench telemetry)."""
-    return _PLANS.stats()
-
-
-def clear_plan_cache() -> None:
-    """Empty the plan cache and reset its counters (mainly for tests)."""
-    _PLANS.clear()
-
-
-def _build_indices(
+@lru_cache(maxsize=64)
+def _plan(
     channels: int,
     out_height: int,
     out_width: int,
@@ -78,7 +60,20 @@ def _build_indices(
     i = i0.reshape(-1, 1) + i1.reshape(1, -1)
     j = j0.reshape(-1, 1) + j1.reshape(1, -1)
     k = np.repeat(np.arange(channels), field_height * field_width).reshape(-1, 1)
+    for array in (k, i, j):
+        array.setflags(write=False)
     return k, i, j
+
+
+def plan_cache_stats() -> dict[str, int]:
+    """Hit/miss/size counters of the im2col plan cache (for bench telemetry)."""
+    info = _plan.cache_info()
+    return {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+
+
+def clear_plan_cache() -> None:
+    """Empty the plan cache and reset its counters (mainly for tests)."""
+    _plan.cache_clear()
 
 
 def im2col_indices(
@@ -88,31 +83,15 @@ def im2col_indices(
     padding: int,
     stride: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the (channel, row, col) gather indices for :func:`im2col`.
+    """The (channel, row, col) gather indices of the unfold, into the padded input.
 
-    Plans depend only on the shape key, so repeated calls hit a process-wide
-    LRU cache (unless disabled via :mod:`repro.nn.runtime`).  Cached arrays
-    are returned read-only; callers gather with them but never write them.
+    Plans depend only on the shape, so they are memoised per shape and
+    returned read-only; callers gather with them but never write them.
     """
     _, channels, height, width = x_shape
     out_height = conv_output_size(height, field_height, padding, stride)
     out_width = conv_output_size(width, field_width, padding, stride)
-
-    if not runtime.options().im2col_plan_cache:
-        return _build_indices(
-            channels, out_height, out_width, field_height, field_width, stride
-        )
-
-    key = (channels, height, width, field_height, field_width, padding, stride)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _build_indices(
-            channels, out_height, out_width, field_height, field_width, stride
-        )
-        for array in plan:
-            array.setflags(write=False)
-        _PLANS.put(key, plan)
-    return plan
+    return _plan(channels, out_height, out_width, field_height, field_width, stride)
 
 
 def _pad_input(x: np.ndarray, padding: int, reuse_buffer: bool) -> np.ndarray:
@@ -120,7 +99,7 @@ def _pad_input(x: np.ndarray, padding: int, reuse_buffer: bool) -> np.ndarray:
     if padding <= 0:
         return x
     pad = padding
-    if not (reuse_buffer and runtime.options().scratch_buffers):
+    if not reuse_buffer:
         return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
     batch, channels, height, width = x.shape
     padded = runtime.scratch(
@@ -156,30 +135,23 @@ def im2col(
     inference-mode convolutions qualify, training (which caches the columns
     for backward) must not pass it.
     """
-    batch, channels, _, _ = x.shape
+    batch, channels, height, width = x.shape
     x_padded = _pad_input(x, padding, reuse_buffer)
-
-    if runtime.options().fast_im2col:
-        out_height = conv_output_size(x.shape[2], field_height, padding, stride)
-        out_width = conv_output_size(x.shape[3], field_width, padding, stride)
-        # (N, C, OH, OW, fh, fw) strided view — no data movement yet.
-        windows = sliding_window_view(x_padded, (field_height, field_width), axis=(2, 3))
-        if stride > 1:
-            windows = windows[:, :, ::stride, ::stride]
-        # Arrange to (C, fh, fw, N, OH, OW); the reshape performs the single
-        # contiguous copy.  Values and layout are identical to the gather path.
-        arranged = windows.transpose(1, 4, 5, 0, 2, 3)
-        shape = (channels * field_height * field_width, batch * out_height * out_width)
-        if reuse_buffer and runtime.options().scratch_buffers:
-            cols = runtime.scratch("im2col.cols", shape, x.dtype)
-            np.copyto(cols.reshape(arranged.shape), arranged)
-            return cols
-        return np.ascontiguousarray(arranged.reshape(shape))
-
-    k, i, j = im2col_indices(x.shape, field_height, field_width, padding, stride)
-    cols = x_padded[:, k, i, j]
-    cols = cols.transpose(1, 0, 2).reshape(field_height * field_width * channels, -1)
-    return np.ascontiguousarray(cols)
+    out_height = conv_output_size(height, field_height, padding, stride)
+    out_width = conv_output_size(width, field_width, padding, stride)
+    # (N, C, OH, OW, fh, fw) strided view — no data movement yet.
+    windows = sliding_window_view(x_padded, (field_height, field_width), axis=(2, 3))
+    if stride > 1:
+        windows = windows[:, :, ::stride, ::stride]
+    # Arrange to (C, fh, fw, N, OH, OW); the reshape (or the copy into
+    # scratch) performs the single contiguous copy.
+    arranged = windows.transpose(1, 4, 5, 0, 2, 3)
+    shape = (channels * field_height * field_width, batch * out_height * out_width)
+    if reuse_buffer:
+        cols = runtime.scratch("im2col.cols", shape, x.dtype)
+        np.copyto(cols.reshape(arranged.shape), arranged)
+        return cols
+    return np.ascontiguousarray(arranged.reshape(shape))
 
 
 def col2im(

@@ -1,11 +1,4 @@
-"""Inference-runtime options, reusable scratch buffers and the BLAS thread pin.
-
-The profile-guided optimization pass (im2col plan cache, strided im2col
-gather, precomputed anchor grids, reused im2col buffers) is **bit-exact**:
-every optimization produces byte-identical numerics to the unoptimized code
-path.  They are nevertheless individually toggleable so the benchmark harness
-can measure the pre-optimization baseline in the same process — an honest
-apples-to-apples A/B on the same machine, same build, same load.
+"""Reusable scratch buffers and the BLAS thread pin of the inference runtime.
 
 Scratch buffers
 ---------------
@@ -22,6 +15,8 @@ same ``tag`` is requested again on the same thread, whatever the shape —
 never store one in a result object (an inference convolution consumes its
 unfold at once and writes its GEMMs into a fresh output array).
 
+BLAS thread pin
+---------------
 Importing :mod:`repro` calls ``pin_blas_threads()``: one executor (serving
 worker, process shard, CLI caller), one core.  OpenBLAS helper threads would
 oversubscribe the cores under concurrent callers and buy these small GEMMs
@@ -34,115 +29,12 @@ import ctypes
 import math
 import os
 import threading
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "LruCache",
-    "RuntimeOptions",
-    "blas_threads",
-    "clear_scratch",
-    "options",
-    "pin_blas_threads",
-    "runtime_options",
-    "scratch",
-]
-
-
-class LruCache:
-    """Small thread-safe LRU with hit/miss counters.
-
-    Shared by the hot-path shape caches (im2col gather plans, anchor grids):
-    both cache immutable values keyed by input shape, both need eviction so a
-    long-running server with many tensor shapes stays bounded, and both want
-    effectiveness counters for the benchmark telemetry.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[object, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: object) -> object | None:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: object, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-@dataclass(frozen=True)
-class RuntimeOptions:
-    """Toggles for the bit-exact hot-path optimizations (all on by default)."""
-
-    #: cache (channel, row, col) im2col gather plans keyed by input shape
-    im2col_plan_cache: bool = True
-    #: unfold via a strided sliding-window view instead of a fancy-index gather
-    fast_im2col: bool = True
-    #: cache tiled anchor grids keyed by feature shape
-    anchor_cache: bool = True
-    #: reuse thread-local im2col pad / column buffers in inference mode
-    scratch_buffers: bool = True
-
-
-_OPTIONS = RuntimeOptions()
-_OPTIONS_LOCK = threading.Lock()
-
-
-def options() -> RuntimeOptions:
-    """The process-wide runtime options (read on the hot path, no lock)."""
-    return _OPTIONS
-
-
-@contextmanager
-def runtime_options(**overrides: bool) -> Iterator[RuntimeOptions]:
-    """Temporarily override runtime options (process-wide).
-
-    Intended for benchmarks and tests measuring the unoptimized baseline::
-
-        with runtime_options(fast_im2col=False, im2col_plan_cache=False):
-            measure_pre_optimization_path()
-
-    The override is global (worker threads observe it too), so don't wrap
-    concurrent workloads that need different settings at once.
-    """
-    global _OPTIONS
-    with _OPTIONS_LOCK:
-        previous = _OPTIONS
-        _OPTIONS = replace(previous, **overrides)
-    try:
-        yield _OPTIONS
-    finally:
-        with _OPTIONS_LOCK:
-            _OPTIONS = previous
+__all__ = ["blas_threads", "clear_scratch", "pin_blas_threads", "scratch"]
 
 
 #: Per-thread arena: ``buffers`` maps (tag, dtype) -> flat grow-only ndarray.
@@ -152,11 +44,8 @@ _SCRATCH = threading.local()
 def scratch(tag: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
     """A reusable uninitialised thread-local buffer of the given shape.
 
-    Falls back to a fresh ``np.empty`` when scratch reuse is disabled.  The
-    buffer's contents are undefined; callers must fully overwrite it.
+    The buffer's contents are undefined; callers must fully overwrite it.
     """
-    if not _OPTIONS.scratch_buffers:
-        return np.empty(shape, dtype=dtype)
     buffers: dict[tuple, np.ndarray] | None = getattr(_SCRATCH, "buffers", None)
     if buffers is None:
         buffers = _SCRATCH.buffers = {}

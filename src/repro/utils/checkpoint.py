@@ -8,6 +8,7 @@ experiments instead of retraining for every table.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Mapping
 
@@ -26,12 +27,23 @@ def save_params(path: str | Path, named_params: Mapping[str, np.ndarray]) -> Pat
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a parameter mapping previously written by :func:`save_params`."""
+    """Load a parameter mapping previously written by :func:`save_params`.
+
+    Bytes that are not such an archive (truncated, not a zip, an object
+    array that would need pickle) raise a ``ValueError`` naming ``path``;
+    nothing is returned from a partly readable file.
+    """
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy array, not an .npz archive")
+        with archive:
+            return {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a parameter checkpoint: {exc}") from exc
 
 
 def save_json(path: str | Path, payload: object) -> Path:

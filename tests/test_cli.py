@@ -481,6 +481,26 @@ class TestBenchCommand:
         assert "BENCH_demo.json" in out
         assert "ok" in out
 
+    def test_run_writes_results_under_bench_dir_by_default(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.cli as cli
+
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        (bench_dir / "test_demo.py").write_text("def test_noop():\n    pass\n")
+        seen = {}
+
+        def fake_pytest(paths, extra):
+            seen["dir"] = os.environ["REPRO_BENCH_RESULTS"]
+            return 0
+
+        monkeypatch.delenv("REPRO_BENCH_RESULTS", raising=False)
+        monkeypatch.setattr(cli, "_invoke_pytest", fake_pytest)
+        main(["bench", "--bench-dir", str(bench_dir)])
+        assert seen["dir"] == str(bench_dir / "results")
+        assert "REPRO_BENCH_RESULTS" not in os.environ
+
     def test_run_flags_missing_artefacts(self, tmp_path, monkeypatch):
         import repro.cli as cli
 

@@ -20,6 +20,7 @@ from repro.detection import (
     nms,
     valid_boxes,
 )
+from repro.detection.anchors import clear_anchor_cache
 from repro.detection.boxes import box_centers, scale_boxes
 
 
@@ -170,6 +171,55 @@ class TestAnchors:
             generate_base_anchors((-4,), (1.0,))
         with pytest.raises(ValueError):
             generate_anchors(0, 4, 8, (16,), (1.0,))
+
+
+class TestAnchorCache:
+    """Anchor grids are memoised per shape and shared read-only."""
+
+    def setup_method(self):
+        clear_anchor_cache()
+
+    def teardown_method(self):
+        clear_anchor_cache()
+
+    def test_list_and_tuple_share_one_read_only_grid(self):
+        grid = generate_anchors(3, 4, 8, (16, 32), (0.5, 1.0))
+        assert generate_anchors(3, 4, 8, [16, 32], [0.5, 1.0]) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+    def test_stride_and_shape_are_separate_entries(self):
+        grid = generate_anchors(3, 4, 8, (16,), (1.0,))
+        others = [
+            generate_anchors(3, 4, 16, (16,), (1.0,)),
+            generate_anchors(4, 4, 8, (16,), (1.0,)),
+            generate_anchors(3, 5, 8, (16,), (1.0,)),
+        ]
+        assert all(other is not grid for other in others)
+        assert generate_anchors(3, 4, 16, (16,), (1.0,)) is others[0]
+        np.testing.assert_array_equal(others[0][0, :2] - grid[0, :2], 4.0)  # centre 8 vs 4
+
+    def test_values_are_base_plus_cell_centre_shift(self):
+        sizes, ratios, stride = (16, 40), (0.5, 1.0, 2.0), 8
+        grid = generate_anchors(3, 5, stride, sizes, ratios)
+        base = generate_base_anchors(sizes, ratios)
+        expected = [
+            base[a] + np.float32((x + 0.5) * stride) * np.array([1, 0, 1, 0], np.float32)
+            + np.float32((y + 0.5) * stride) * np.array([0, 1, 0, 1], np.float32)
+            for y in range(3)
+            for x in range(5)
+            for a in range(len(base))
+        ]
+        assert grid.dtype == np.float32
+        np.testing.assert_array_equal(grid, np.asarray(expected, dtype=np.float32))
+
+    def test_clear_drops_cached_grids(self):
+        grid = generate_anchors(2, 3, 8, (16,), (1.0,))
+        clear_anchor_cache()
+        fresh = generate_anchors(2, 3, 8, (16,), (1.0,))
+        assert fresh is not grid
+        np.testing.assert_array_equal(fresh, grid)
 
 
 class TestNMS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestCheckpoint:
         save_params(tmp_path / "model.npz", {"x": np.ones(2)})
         loaded = load_params(tmp_path / "model")
         np.testing.assert_array_equal(loaded["x"], np.ones(2))
+
+    def test_truncated_checkpoint_raises_value_error_naming_path(self, tmp_path):
+        path = save_params(tmp_path / "model.npz", {"w": np.arange(64.0), "b": np.ones(8)})
+        data = path.read_bytes()
+        for cut in (0, 3, 10, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_params(path)
+
+    def test_non_zip_checkpoint_raises_value_error_naming_path(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.save(tmp_path / "bare.npy", np.ones(3))  # an array, not an archive
+        bare = (tmp_path / "bare.npy").read_bytes()
+        for payload in (b"definitely not a zip archive\n" * 4, bare):
+            path.write_bytes(payload)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_params(path)
+
+    def test_object_array_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, w=np.ones(3), evil=np.array([{"a": 1}], dtype=object))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_params(path)
 
     def test_save_json_roundtrip_with_numpy_scalars(self, tmp_path):
         payload = {"value": np.float32(1.5), "vector": np.arange(3)}
