@@ -379,14 +379,9 @@ def test_single_stream_profile(vid_bundle):
         assert traced_ratio >= 0.90, leg_fps
 
 
-def _sweep_run(bundle, streams, max_batch_size: int, batched: bool) -> tuple[float, float]:
+def _sweep_run(bundle, streams, max_batch_size: int) -> tuple[float, float]:
     """One sweep measurement; returns (frames/s, mean batch occupancy)."""
-    serving = ServingConfig(
-        num_workers=1,
-        max_batch_size=max_batch_size,
-        queue_capacity=256,
-        batched_execution=batched,
-    )
+    serving = ServingConfig(num_workers=1, max_batch_size=max_batch_size, queue_capacity=256)
     generator = LoadGenerator(
         num_streams=len(streams),
         frames_per_stream=min(len(s) for s in streams),
@@ -404,14 +399,14 @@ def _sweep_run(bundle, streams, max_batch_size: int, batched: bool) -> tuple[flo
 
 
 def test_batch_size_sweep(vid_bundle):
-    """Batched vs per-frame frames/s at micro-batch sizes 1/2/4/8.
+    """Frames/s at micro-batch sizes 1/2/4/8, against batch size 1.
 
     A single worker isolates the effect of stacked-tensor execution from
-    thread parallelism.  Predicted scales are quantised onto the regressor
-    scale set so concurrent streams share scheduler buckets — with the raw
-    continuous decode nearly every bucket is a singleton and there is nothing
-    to batch (this is the deployment configuration batch-first serving is
-    designed for).
+    thread parallelism; batch size 1 is the per-frame case.  Predicted scales
+    are quantised onto the regressor scale set so concurrent streams share
+    scheduler buckets — with the raw continuous decode nearly every bucket is
+    a singleton and there is nothing to batch (this is the deployment
+    configuration batch-first serving is designed for).
     """
     bundle = replace(
         vid_bundle,
@@ -421,33 +416,29 @@ def test_batch_size_sweep(vid_bundle):
     )
     streams = [s * 2 for s in round_robin_streams(bundle.val_dataset, _SWEEP_STREAMS)]
 
-    _sweep_run(bundle, streams, 4, True)  # warmup (page cache, allocator)
-    samples: dict[tuple[int, bool], list[float]] = {}
+    _sweep_run(bundle, streams, 4)  # warmup (page cache, allocator)
+    samples: dict[int, list[float]] = {}
     occupancy_samples: dict[int, list[float]] = {}
     for _ in range(_SWEEP_REPEATS):
         for batch_size in _SWEEP_BATCH_SIZES:
-            for batched in (True, False):
-                fps, occ = _sweep_run(bundle, streams, batch_size, batched)
-                samples.setdefault((batch_size, batched), []).append(fps)
-                if batched:
-                    occupancy_samples.setdefault(batch_size, []).append(occ)
+            fps, occ = _sweep_run(bundle, streams, batch_size)
+            samples.setdefault(batch_size, []).append(fps)
+            occupancy_samples.setdefault(batch_size, []).append(occ)
 
-    fps_batched = {b: statistics.median(samples[(b, True)]) for b in _SWEEP_BATCH_SIZES}
-    fps_unbatched = {b: statistics.median(samples[(b, False)]) for b in _SWEEP_BATCH_SIZES}
+    fps_batched = {b: statistics.median(samples[b]) for b in _SWEEP_BATCH_SIZES}
     occupancy = {b: statistics.median(occupancy_samples[b]) for b in _SWEEP_BATCH_SIZES}
-    baseline = fps_unbatched[1]
+    baseline = fps_batched[1]
     rows = [
         [
             str(batch_size),
             format_float(occupancy[batch_size], 2),
             format_float(fps_batched[batch_size], 1),
-            format_float(fps_unbatched[batch_size], 1),
             format_float(fps_batched[batch_size] / baseline, 2) + "x",
         ]
         for batch_size in _SWEEP_BATCH_SIZES
     ]
     table = format_table(
-        ["Max batch", "Batch occ.", "Batched FPS", "Unbatched FPS", "Speedup vs b1"],
+        ["Max batch", "Batch occ.", "Batched FPS", "Speedup vs b1"],
         rows,
         title=(
             f"Batch-size sweep — {_SWEEP_STREAMS} streams, 1 worker, "
@@ -462,7 +453,6 @@ def test_batch_size_sweep(vid_bundle):
             "repeats": _SWEEP_REPEATS,
             "occupancy_by_batch": {str(b): float(occupancy[b]) for b in _SWEEP_BATCH_SIZES},
             "batched_fps_by_batch": {str(b): float(fps_batched[b]) for b in _SWEEP_BATCH_SIZES},
-            "unbatched_fps_by_batch": {str(b): float(fps_unbatched[b]) for b in _SWEEP_BATCH_SIZES},
             # Deliberately NOT named "speedup": a single FAST-mode sample on a
             # noisy shared runner must not trip the strict speedup gate.
             "batched_vs_b1_ratio": {
@@ -485,10 +475,10 @@ def test_batch_size_sweep(vid_bundle):
     # batched path has silently degenerated to per-frame execution.
     assert occupancy[4] >= 2.0
     assert occupancy[8] >= occupancy[4]
-    # Wall-clock gate: batched execution must beat per-frame execution once
-    # batches fill.  Only enforced when we have a median over several
+    # Wall-clock gate: filled batches of 4 must beat batches of 1 (the
+    # per-frame case).  Only enforced when we have a median over several
     # interleaved repetitions — a single FAST-mode sample on a noisy shared
     # runner is not evidence of a regression.  The threshold is deliberately
-    # softer than the ~1.3-1.4x measured locally.
+    # softer than the ~1.2x measured locally (b4 over batched b1).
     if _SWEEP_REPEATS >= 2:
-        assert fps_batched[4] > 1.05 * baseline
+        assert fps_batched[4] > 1.05 * fps_batched[1]

@@ -244,25 +244,19 @@ class DFFStream:
         )
 
     def process_frame(
-        self,
-        image: np.ndarray | VideoFrame,
-        scale: int | None = None,
-        detector: RFCNDetector | None = None,
+        self, image: np.ndarray | VideoFrame, scale: int | None = None
     ) -> DFFFrameOutput:
         """Process the stream's next frame (plan + detect + commit in one call).
 
         ``scale`` is honoured only at key frames (non-key frames must reuse
-        the key frame's scale).  ``detector`` optionally overrides the
-        detector used for this frame — inference is thread-safe and
-        deterministic, so any detector with identical weights keeps the
-        cached features valid.
+        the key frame's scale).
         """
-        detector = detector if detector is not None else self.detector
+        detector = self.detector
         start = time.perf_counter()
         # inference_mode keeps the detector free of side effects (no layer
         # caches), so a shared detector stays safe even on this per-frame path.
         with inference_mode():
-            plan = self.plan_frame(image, scale=scale, detector=detector)
+            plan = self.plan_frame(image, scale=scale)
             if plan.is_key_frame:
                 features = detector.extract_features(plan.tensor)
             else:

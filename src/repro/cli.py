@@ -214,11 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Deep-Feature-Flow key-frame interval (1 = full detection every frame)",
     )
     serve.add_argument(
-        "--unbatched",
-        action="store_true",
-        help="execute micro-batches frame by frame instead of as one stacked tensor",
-    )
-    serve.add_argument(
         "--quantize-scales",
         action="store_true",
         help=(
@@ -557,8 +552,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     serving = serving.with_(**{k: v for k, v in flag_overrides.items() if v is not None})
     if args.seqnms:
         serving = serving.with_(use_seqnms=True)
-    if args.unbatched:
-        serving = serving.with_(batched_execution=False)
 
     telemetry = None
     if args.telemetry or args.span_log is not None or args.export_trace is not None:

@@ -248,7 +248,9 @@ class ServingConfig(SerializableConfig):
     The server turns a trained bundle into a multi-stream video service:
     frames arrive per stream, a bounded scheduler groups same-scale frames
     into micro-batches, and a thread pool executes each micro-batch as one
-    stacked tensor through a shared detector.
+    stacked tensor through a shared detector.  That is the only execution
+    path: ``max_batch_size=1`` is the per-frame case, and any worker count or
+    batch size serves each stream bit-identical to offline Algorithm 1.
     """
 
     #: worker threads sharing one detector/regressor (inference-mode forwards
@@ -256,9 +258,6 @@ class ServingConfig(SerializableConfig):
     num_workers: int = 2
     #: maximum frames per scale-bucketed micro-batch
     max_batch_size: int = 4
-    #: execute each micro-batch as one stacked tensor (bit-identical to the
-    #: per-frame path; disable only to benchmark the unbatched baseline)
-    batched_execution: bool = True
     #: bound of the scheduler's request queue (admitted, not yet completed)
     queue_capacity: int = 64
     #: what happens when the queue is full: "block" the submitter,

@@ -5,7 +5,7 @@ times the hot path also defines the machine-readable benchmark artefacts CI
 gates on.  Three pieces:
 
 * :mod:`repro.profiling.profiler` — scoped, nestable, thread-aware stage
-  timers built on :class:`repro.utils.timer.Timer`.  Instrumentation sites in
+  timers.  Instrumentation sites in
   ``nn`` / ``detection`` / ``core`` / ``serving`` call :func:`stage`, which is
   a no-op (a shared null context, no allocation) unless a
   :class:`StageProfiler` is active, so production code pays nothing when not

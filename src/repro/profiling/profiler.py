@@ -14,17 +14,15 @@ context manager) turns every :func:`stage` site into a timed scope:
   ``outer/inner`` path, so per-layer timings roll up under the stage that ran
   them;
 * **thread-aware** — each thread keeps its own scope stack and its own
-  :class:`~repro.utils.timer.Timer`, so concurrent serving workers never
-  contend on a lock per sample and never interleave each other's nesting;
-  :meth:`StageProfiler.merged` folds all threads together at read time.
+  ``path -> samples`` dict, so concurrent serving workers never contend on a
+  lock per sample and never interleave each other's nesting;
+  :meth:`StageProfiler.stages` folds all threads together at read time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-from repro.utils.timer import Timer
 
 __all__ = ["StageProfiler", "stage", "active_profiler"]
 
@@ -112,8 +110,9 @@ class StageProfiler:
     def __init__(self) -> None:
         self._registry_lock = threading.Lock()
         self._local = threading.local()
-        #: (thread name, timer) per thread that recorded at least one sample.
-        self._timers: list[tuple[str, Timer]] = []
+        #: (thread name, path -> seconds samples) per thread that recorded at
+        #: least one sample.
+        self._threads: list[tuple[str, dict[str, list[float]]]] = []
 
     # -- activation ------------------------------------------------------
     def __enter__(self) -> "StageProfiler":
@@ -131,40 +130,28 @@ class StageProfiler:
                 _ACTIVE = None
 
     # -- recording -------------------------------------------------------
-    def _thread_timer(self) -> Timer:
-        timer = getattr(self._local, "timer", None)
-        if timer is None:
-            timer = Timer()
-            self._local.timer = timer
-            with self._registry_lock:
-                self._timers.append((threading.current_thread().name, timer))
-        return timer
-
     def _record(self, path: str, seconds: float) -> None:
-        self._thread_timer().add(path, seconds)
+        samples = getattr(self._local, "samples", None)
+        if samples is None:
+            samples = self._local.samples = {}
+            with self._registry_lock:
+                self._threads.append((threading.current_thread().name, samples))
+        samples.setdefault(path, []).append(seconds)
 
     # -- reading ---------------------------------------------------------
-    def merged(self) -> Timer:
-        """All threads' samples folded into one :class:`Timer`."""
-        merged = Timer()
+    def _snapshot(self) -> list[tuple[str, dict[str, list[float]]]]:
         with self._registry_lock:
-            timers = list(self._timers)
-        for _, timer in timers:
-            merged.merge(timer)
-        return merged
+            return list(self._threads)
 
     def thread_count(self) -> int:
         """Number of threads that recorded at least one sample."""
-        with self._registry_lock:
-            return len(self._timers)
+        return len(self._snapshot())
 
     def per_thread(self) -> dict[str, dict[str, int]]:
         """Per-thread sample counts keyed by thread name, then stage path."""
-        with self._registry_lock:
-            timers = list(self._timers)
         return {
-            name: {path: len(values) for path, values in timer.samples.items()}
-            for name, timer in timers
+            name: {path: len(values) for path, values in samples.items()}
+            for name, samples in self._snapshot()
         }
 
     def stages(self) -> dict[str, dict[str, float]]:
@@ -173,14 +160,17 @@ class StageProfiler:
         Each value holds ``count``, ``total_s`` and ``mean_ms`` — the shape
         the ``BENCH_*.json`` per-stage breakdown uses.
         """
-        merged = self.merged()
+        merged: dict[str, list[float]] = {}
+        for _, samples in self._snapshot():
+            for path, values in samples.items():
+                merged.setdefault(path, []).extend(values)
         stats = {
             path: {
-                "count": merged.count(path),
-                "total_s": merged.total_s(path),
-                "mean_ms": merged.mean_ms(path),
+                "count": len(values),
+                "total_s": float(sum(values)),
+                "mean_ms": 1000.0 * sum(values) / len(values),
             }
-            for path in merged.samples
+            for path, values in merged.items()
         }
         return dict(
             sorted(stats.items(), key=lambda item: item[1]["total_s"], reverse=True)

@@ -102,7 +102,6 @@ class InferenceServer:
             build_context=self._build_worker_context,
             complete=self._on_worker_done,
             num_workers=self.serving.num_workers,
-            batched=self.serving.batched_execution,
         )
 
     # -- lifecycle ----------------------------------------------------------

@@ -24,13 +24,13 @@ variable orders the previous frame's ``advance`` before the next frame's
 dispatch.
 
 Determinism: a session processed through the server — any worker count, any
-batch size, batched or per-frame execution — produces bit-identical
-detections and scale traces to running
-:meth:`repro.core.adascale.AdaScaleDetector.process_video` sequentially on the
-same frames.  Workers share one detector (inference mode makes forwards
-side-effect free) and inference kernels are batch-invariant, so frames
-executed inside a stacked micro-batch match frames executed alone, bit for
-bit (see the multi-stream equivalence tests).
+batch size — produces bit-identical detections and scale traces to running
+offline Algorithm 1 (:meth:`repro.core.adascale.AdaScaleDetector.process_video`,
+or :class:`repro.acceleration.combined.AdaScaleDFFDetector` under DFF)
+sequentially on the same frames.  Workers share one detector (inference mode
+makes forwards side-effect free) and inference kernels are batch-invariant, so
+frames executed inside a stacked micro-batch match frames executed alone, bit
+for bit (see the multi-stream equivalence tests).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class StreamSession:
         cap = max(int(self.scale_cap), self.adascale_config.min_scale)
         return min(self._current_scale, cap)
 
-    # -- worker-side execution (batched path) --------------------------------
+    # -- worker-side execution ------------------------------------------------
     def plan_frame(self, request: FrameRequest, worker) -> FramePlan:
         """Prepare this stream's next frame for batched execution.
 
@@ -258,48 +258,6 @@ class StreamSession:
             next_scale=plan.next_scale,
             is_key_frame=True,
             service_s=plan.service_s,
-        )
-
-    # -- worker-side execution (per-frame path) ------------------------------
-    def execute(self, request: FrameRequest, worker) -> FrameExecution:
-        """Run one frame end-to-end on ``worker``'s shared models.
-
-        ``worker`` is a :class:`~repro.serving.worker.WorkerContext`.  Called
-        from exactly one worker thread at a time (scheduler guarantee).  This
-        is the per-frame fallback used when batched execution is disabled; it
-        produces bit-identical results to the plan/complete batched path.
-        """
-        image = request.image
-        if self.dff_stream is not None:
-            is_key = self.dff_stream.next_is_key_frame
-            out = self.dff_stream.process_frame(
-                image,
-                scale=request.resolve_scale() if is_key else None,
-                detector=worker.detector,
-            )
-            next_scale: int | None = None
-            service_s = out.runtime_s
-            if is_key:
-                # AdaScale+DFF: the regressor reads key-frame features and
-                # picks the scale of the *next key frame* (Fig. 7 combination).
-                next_scale, _, regress_s = worker.adascale.predict_next_scale(
-                    out.detection, (image.shape[0], image.shape[1])
-                )
-                service_s += regress_s
-            return FrameExecution(
-                detection=out.detection,
-                scale_used=out.scale_used,
-                next_scale=next_scale,
-                is_key_frame=out.is_key_frame,
-                service_s=service_s,
-            )
-        output = worker.adascale.detect_frame(image, request.resolve_scale())
-        return FrameExecution(
-            detection=output.detection,
-            scale_used=output.scale_used,
-            next_scale=output.next_scale,
-            is_key_frame=True,
-            service_s=output.runtime_s,
         )
 
     # -- completion bookkeeping ---------------------------------------------

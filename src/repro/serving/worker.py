@@ -7,24 +7,28 @@ number of threads.  No per-worker replicas are built, which removes the
 replica startup cost and multiplies the model-memory footprint by 1 instead
 of ``num_workers``.
 
-Execution is batch-first: a worker takes a whole scale-bucketed micro-batch
-from the scheduler and executes it as stacked tensors —
+A worker runs every scale-bucketed micro-batch from the scheduler one way, as
+stacked tensors, in five regions —
 
 1. **plan** — each frame's session resizes/normalises its frame (or, for DFF
    non-key frames, warps cached key features) into a
    :class:`~repro.serving.session.FramePlan`; stream state is only read;
-2. **backbone + head** — plans needing the backbone are stacked per tensor
-   shape into one NCHW batch; the RPN and position-sensitive head run once
-   per stack and per-image NMS fans the detections back out.  DFF non-key
-   plans stack their warped features straight through the head;
-3. **regressor** — frames that feed AdaScale's feedback loop are regressed as
+2. **backbone_batch** / **head_batch** — plans needing the backbone are
+   stacked per tensor shape into one NCHW batch; the RPN and position-sensitive
+   head run once per stack and per-image NMS fans the detections back out.  DFF
+   non-key plans stack their warped features straight through the head;
+3. **regress** — frames that feed AdaScale's feedback loop are regressed as
    one feature batch;
 4. **complete** — each session commits its sequential bookkeeping (DFF cache,
    scale feedback) and the result goes to the server's completion callback.
 
-Inference kernels are batch-invariant, so this batched execution is
-bit-identical to running every frame alone — batching is purely a throughput
-optimisation (GEMM/gather/dispatch amortisation across the micro-batch).
+Each region is timed once: it is a profiler ``stage("serving/<region>")`` and,
+when a frame of the batch is traced, a span of the same name on those frames.
+
+Inference kernels are batch-invariant, so a batch of one is the per-frame
+case and a served stream is bit-identical to offline Algorithm 1 on its
+frames: ``process_video`` of :class:`~repro.core.adascale.AdaScaleDetector`,
+or of :class:`~repro.acceleration.combined.AdaScaleDFFDetector` under DFF.
 
 Workers block on the scheduler's condition variable and are woken on enqueue;
 the dequeue timeout is only a backstop so shutdown can never be missed.
@@ -34,15 +38,16 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.config import AdaScaleConfig
 from repro.core.adascale import AdaScaleDetector
 from repro.core.regressor import ScaleRegressor
 from repro.detection.rfcn import RFCNDetector
 from repro.nn.layers import inference_mode
-from repro.observability.trace import active_tracer
+from repro.observability.trace import Tracer, active_tracer
 from repro.profiling import stage
 from repro.serving.request import FrameRequest
 from repro.serving.scheduler import FrameScheduler
@@ -85,6 +90,30 @@ class WorkerContext:
         )
 
 
+def _region(name: str, tracer: Tracer | None, frames: Sequence[FramePlan]):
+    """One worker region: the profiler ``stage(name)`` and, when ``tracer`` is
+    set, the trace span ``name`` on every traced frame of ``frames``.
+
+    Trace spans reuse the profiler's stage names, so a trace's per-stage rollup
+    and a :class:`~repro.profiling.StageProfiler` over the same load compare
+    directly.  With ``tracer`` None the region is the bare stage scope.
+    """
+    return stage(name) if tracer is None else _traced_region(name, tracer, frames)
+
+
+@contextmanager
+def _traced_region(name: str, tracer: Tracer, frames: Sequence[FramePlan]) -> Iterator[None]:
+    # ``frames`` is read on exit, so a region may fill the list it names.
+    start_s, start = time.monotonic(), time.perf_counter()
+    with stage(name):
+        yield
+    contexts = [plan.request.trace for plan in frames if plan.request.trace is not None]
+    if contexts:
+        tracer.emit_batch_span(
+            name, contexts, start_s=start_s, duration_s=time.perf_counter() - start
+        )
+
+
 class WorkerPool:
     """Fixed pool of threads executing scheduler micro-batches."""
 
@@ -95,7 +124,6 @@ class WorkerPool:
         complete: CompleteFn,
         num_workers: int = 2,
         poll_timeout_s: float = 1.0,
-        batched: bool = True,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -108,7 +136,6 @@ class WorkerPool:
         #: condition instead of busy-polling.  The timeout merely bounds how
         #: long a missed close() notification could go unnoticed.
         self._poll_timeout_s = poll_timeout_s
-        self._batched = batched
         self._threads: list[threading.Thread] = []
 
     def start(self) -> None:
@@ -134,73 +161,26 @@ class WorkerPool:
             batch = self._scheduler.next_batch(timeout=self._poll_timeout_s)
             if batch is None:  # closed and drained
                 return
-            if not batch:  # backstop timeout fired with no work
-                continue
-            if self._batched:
-                self._execute_batched(batch, context)
-            else:
-                self._execute_sequential(batch, context)
+            if batch:  # empty: the backstop timeout fired with no work
+                self._execute(batch, context)
 
-    # ------------------------------------------------------------------
-    # per-frame fallback path
-    # ------------------------------------------------------------------
-    def _execute_sequential(
-        self, batch: Sequence[FrameRequest], context: WorkerContext
-    ) -> None:
-        """Run each frame of the batch through its session, one at a time."""
-        for request in batch:
-            session = request.session
-            execution = None
-            error: BaseException | None = None
-            if session is None:
-                error = RuntimeError("request has no stream session")
-            else:
-                try:
-                    execution = session.execute(request, context)
-                except Exception as exc:  # pragma: no cover - defensive
-                    _LOGGER.exception("worker failed on stream %s", request.stream_id)
-                    error = exc
-            self._finish(request, execution, error)
-
-    # ------------------------------------------------------------------
-    # batched path
-    # ------------------------------------------------------------------
-    def _execute_batched(
-        self, batch: Sequence[FrameRequest], context: WorkerContext
-    ) -> None:
+    def _execute(self, batch: Sequence[FrameRequest], context: WorkerContext) -> None:
         """Execute a whole scheduler micro-batch as stacked tensors."""
-        # Trace stage spans reuse the profiler's stage names (the profiler
-        # bridge): a trace's per-stage rollup and a StageProfiler run over the
-        # same workload are directly comparable.  With no tracer active (or no
-        # traced frame in this batch) every hook below is a no-op.
+        # ``tracer`` stays None unless a frame of this batch is traced, so an
+        # untraced batch runs each region as a bare profiler stage.
         tracer = active_tracer()
-        traced_batch = (
-            [r.trace for r in batch if r.trace is not None] if tracer is not None else []
-        )
-
-        def _mark() -> tuple[float, float]:
-            if not traced_batch:
-                return (0.0, 0.0)
-            return (time.monotonic(), time.perf_counter())
-
-        def _stage_span(name: str, contexts, started: tuple[float, float]) -> None:
-            if traced_batch and contexts:
-                tracer.emit_batch_span(
-                    name,
-                    contexts,
-                    start_s=started[0],
-                    duration_s=time.perf_counter() - started[1],
-                )
-
-        if traced_batch:
-            # Assembly window: the batch cannot form before its last member
-            # arrives; what follows until dispatch is the adaptive fill wait.
-            dispatch = batch[0].dispatch_time
-            if dispatch is not None:
+        if tracer is not None:
+            traced = [r.trace for r in batch if r.trace is not None]
+            if not traced:
+                tracer = None
+            elif batch[0].dispatch_time is not None:
+                # Assembly window: the batch cannot form before its last member
+                # arrives; what follows until dispatch is the adaptive fill wait.
+                dispatch = batch[0].dispatch_time
                 arrived = max(r.enqueue_time for r in batch)
                 tracer.emit_batch_span(
                     "serving/batch_assembly",
-                    traced_batch,
+                    traced,
                     start_s=min(arrived, dispatch),
                     duration_s=max(dispatch - arrived, 0.0),
                     batch_size=len(batch),
@@ -208,8 +188,7 @@ class WorkerPool:
 
         plans: list[FramePlan] = []
         errors: dict[int, BaseException] = {}
-        started = _mark()
-        with stage("serving/plan"):
+        with _region("serving/plan", tracer, plans):
             for request in batch:
                 session = request.session
                 if session is None:
@@ -223,55 +202,32 @@ class WorkerPool:
                 except Exception as exc:  # pragma: no cover - defensive
                     _LOGGER.exception("plan failed on stream %s", request.stream_id)
                     errors[request.request_id] = exc
-        traced_plans = [
-            plan.request.trace for plan in plans if plan.request.trace is not None
-        ]
-        _stage_span("serving/plan", traced_plans, started)
 
-        started = _mark()
-        with stage("serving/backbone_batch"):
+        keyed = [plan for plan in plans if plan.tensor is not None]
+        with _region("serving/backbone_batch", tracer, keyed):
             self._detect_stacked(
-                [plan for plan in plans if plan.tensor is not None],
+                keyed,
                 context,
                 errors,
                 key=lambda plan: tuple(plan.tensor.shape),
                 run=self._run_backbone_group,
             )
-        _stage_span(
-            "serving/backbone_batch",
-            [
-                plan.request.trace
-                for plan in plans
-                if plan.tensor is not None and plan.request.trace is not None
-            ],
-            started,
-        )
-        started = _mark()
-        with stage("serving/head_batch"):
+        warped = [plan for plan in plans if plan.warped_features is not None]
+        with _region("serving/head_batch", tracer, warped):
             self._detect_stacked(
-                [plan for plan in plans if plan.warped_features is not None],
+                warped,
                 context,
                 errors,
                 key=lambda plan: tuple(plan.warped_features.shape),
                 run=self._run_head_group,
             )
-        _stage_span(
-            "serving/head_batch",
-            [
-                plan.request.trace
-                for plan in plans
-                if plan.warped_features is not None and plan.request.trace is not None
-            ],
-            started,
-        )
-        started = _mark()
-        with stage("serving/regress"):
+        # Every frame of the batch waits on the regressor, so the regress span
+        # lands on all of them, not only on those it regresses.
+        with _region("serving/regress", tracer, plans):
             self._regress_next_scales(plans, context, errors)
-        _stage_span("serving/regress", traced_plans, started)
 
         executions: dict[int, FrameExecution] = {}
-        started = _mark()
-        with stage("serving/complete"):
+        with _region("serving/complete", tracer, plans):
             for plan in plans:
                 if plan.request.request_id in errors:
                     continue
@@ -283,7 +239,6 @@ class WorkerPool:
                 except Exception as exc:  # pragma: no cover - defensive
                     _LOGGER.exception("commit failed on stream %s", plan.request.stream_id)
                     errors[plan.request.request_id] = exc
-        _stage_span("serving/complete", traced_plans, started)
 
         for request in batch:
             self._finish(

@@ -1,16 +1,13 @@
-"""Shared utilities: seeding, timing, logging, registries and checkpoints."""
+"""Shared utilities: seeding, logging, registries, grouping and checkpoints."""
 
 from repro.utils.checkpoint import load_params, save_params
 from repro.utils.grouping import group_indices, stack_group
 from repro.utils.logging import get_logger
 from repro.utils.registry import Registry
 from repro.utils.seeding import new_rng, seed_everything
-from repro.utils.timer import Timer, WallClock
 
 __all__ = [
     "Registry",
-    "Timer",
-    "WallClock",
     "get_logger",
     "group_indices",
     "load_params",

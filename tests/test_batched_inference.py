@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.acceleration.combined import AdaScaleDFFDetector
 from repro.config import ServingConfig
 from repro.nn import Conv2d, Linear, MaxPool2d, ReLU, Sequential, inference_mode, is_inference
 from repro.serving import InferenceServer
@@ -190,39 +191,81 @@ class TestRegressorBatchEquivalence:
 
 
 class TestServingBatchedExecution:
-    def _serve(self, bundle, serving: ServingConfig):
-        snippets = list(bundle.val_dataset)[:2]
+    """Served streams against the unbatched reference, offline Algorithm 1.
+
+    The server has one execution path (stacked micro-batches); the per-frame
+    reference is ``process_video`` run on each stream's frames alone.
+    """
+
+    @staticmethod
+    def _streams(bundle) -> list[list]:
+        """Three 6-frame streams, each two validation snippets back to back."""
+        snippets = [snippet.frames() for snippet in bundle.val_dataset]
+        return [snippets[k % 2] + snippets[(k + 1) % 2] for k in range(3)]
+
+    def _serve(self, bundle, serving: ServingConfig, streams) -> dict:
         with InferenceServer(bundle, serving=serving) as server:
-            max_len = max(len(snippet) for snippet in snippets)
-            for frame_index in range(max_len):
-                for stream_id, snippet in enumerate(snippets):
-                    if frame_index < len(snippet):
-                        server.submit(stream_id, snippet[frame_index].image, frame_index)
+            for frame_index in range(max(len(frames) for frames in streams)):
+                for stream_id, frames in enumerate(streams):
+                    if frame_index < len(frames):
+                        server.submit(stream_id, frames[frame_index].image, frame_index)
             assert server.drain(timeout=120.0)
             return server.finalize()
 
+    @staticmethod
+    def _assert_identical(served, scales_used, detections) -> None:
+        assert served.completed == len(detections)
+        assert served.scales_used == scales_used
+        for record, detection in zip(served.records, detections):
+            np.testing.assert_array_equal(record.boxes, detection.boxes)
+            np.testing.assert_array_equal(record.scores, detection.scores)
+            np.testing.assert_array_equal(record.class_ids, detection.class_ids)
+
+    def _check_adascale(self, bundle, initial_scale: int | None) -> list[list[int]]:
+        streams = self._streams(bundle)
+        serving = ServingConfig(
+            num_workers=2, max_batch_size=4, queue_capacity=16, initial_scale=initial_scale
+        )
+        served = self._serve(bundle, serving, streams)
+        assert set(served) == set(range(len(streams)))
+        for stream_id, frames in enumerate(streams):
+            reference = bundle.adascale.process_video(frames, initial_scale=initial_scale)
+            self._assert_identical(
+                served[stream_id],
+                reference.scales_used,
+                [output.detection for output in reference.outputs],
+            )
+        return [served[stream_id].scales_used for stream_id in served]
+
     def test_batched_serving_matches_unbatched(self, micro_bundle):
-        """The stacked-tensor path and the per-frame path agree bit for bit."""
-        base = ServingConfig(num_workers=2, max_batch_size=4, queue_capacity=16)
-        batched = self._serve(micro_bundle, base)
-        unbatched = self._serve(micro_bundle, base.with_(batched_execution=False))
-        assert set(batched) == set(unbatched)
-        for stream_id in batched:
-            assert batched[stream_id].scales_used == unbatched[stream_id].scales_used
-            assert batched[stream_id].completed == unbatched[stream_id].completed
-            for left, right in zip(batched[stream_id].records, unbatched[stream_id].records):
-                np.testing.assert_array_equal(left.boxes, right.boxes)
-                np.testing.assert_array_equal(left.scores, right.scores)
-                np.testing.assert_array_equal(left.class_ids, right.class_ids)
+        """Stacked micro-batches agree bit for bit with per-frame Algorithm 1."""
+        self._check_adascale(micro_bundle, initial_scale=None)
+
+    @pytest.mark.parametrize("initial_scale", [48, 32])
+    def test_batched_serving_matches_unbatched_from_seed_scale(
+        self, micro_bundle, initial_scale
+    ):
+        """Seeded below S_max, the feedback chain moves the scale frame to frame."""
+        scales = self._check_adascale(micro_bundle, initial_scale=initial_scale)
+        assert all(trace[0] == initial_scale for trace in scales)
+        if initial_scale == 32:
+            assert any(len(set(trace)) > 1 for trace in scales)
 
     def test_batched_dff_serving_matches_unbatched(self, micro_bundle):
-        base = ServingConfig(
+        """AdaScale+DFF streams agree bit for bit with the offline DFF detector."""
+        streams = self._streams(micro_bundle)
+        serving = ServingConfig(
             num_workers=2, max_batch_size=4, queue_capacity=16, key_frame_interval=2
         )
-        batched = self._serve(micro_bundle, base)
-        unbatched = self._serve(micro_bundle, base.with_(batched_execution=False))
-        for stream_id in batched:
-            assert batched[stream_id].scales_used == unbatched[stream_id].scales_used
-            for left, right in zip(batched[stream_id].records, unbatched[stream_id].records):
-                np.testing.assert_array_equal(left.boxes, right.boxes)
-                np.testing.assert_array_equal(left.scores, right.scores)
+        served = self._serve(micro_bundle, serving, streams)
+        offline = AdaScaleDFFDetector(
+            micro_bundle.ms_detector,
+            micro_bundle.regressor,
+            key_frame_interval=2,
+            config=micro_bundle.config.adascale,
+        )
+        for stream_id, frames in enumerate(streams):
+            reference = offline.process_video(frames)
+            self._assert_identical(
+                served[stream_id], reference.scales_used, reference.detections
+            )

@@ -48,6 +48,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "--methods", "MS/Bogus"])
 
+    def test_serve_refuses_removed_unbatched_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--unbatched"])
+        assert excinfo.value.code == 2
+        assert "--unbatched" in capsys.readouterr().err
+
     def test_preset_choices_come_from_registry(self):
         parser = build_parser()
         for name in EXPERIMENT_PRESETS.names():

@@ -147,6 +147,20 @@ class TestStrictness:
         with pytest.raises(ValueError, match="unknown ServingConfig key.*'bogus'"):
             ServingConfig.from_dict({"bogus": 1})
 
+    def test_removed_batched_execution_key_is_refused(self, tmp_path):
+        """Serving has one execution path; the old per-frame switch is unknown."""
+        with pytest.raises(ValueError, match="unknown ServingConfig key.*'batched_execution'"):
+            ServingConfig.from_dict({"batched_execution": False})
+        with pytest.raises(ValueError, match="'batched_execution'"):
+            ExperimentConfig.from_dict({"serving": {"batched_execution": True}})
+        with pytest.raises(ValueError, match="batched_execution"):
+            api.load_experiment_config("tiny", overrides=["serving.batched_execution=false"])
+        if toml_supported():
+            path = tmp_path / "exp.toml"
+            path.write_text("[serving]\nbatched_execution = false\n")
+            with pytest.raises(ValueError, match="'batched_execution'"):
+                ExperimentConfig.load(path)
+
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="DatasetConfig"):
             ExperimentConfig.from_dict({"dataset": {"nope": 3}})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.observability import (
     validate_prometheus_text,
     write_chrome_trace,
 )
+from repro.profiling import StageProfiler
 
 ADA = AdaScaleConfig()
 SERVING = ServingConfig(num_workers=2, max_batch_size=4, queue_capacity=64)
@@ -700,6 +702,52 @@ class TestServerTracing:
         completions = [e for e in events if e.name == "serving/complete_frame"]
         assert all("scale_used" in event.attrs for event in completions)
         assert all(event.attrs["latency_ms"] > 0.0 for event in completions)
+
+    def test_worker_regions_span_each_traced_frame_once(self, micro_bundle):
+        """Each worker region is one profiler stage and one span per traced frame."""
+        regions = {
+            "serving/plan",
+            "serving/backbone_batch",
+            "serving/head_batch",
+            "serving/regress",
+            "serving/complete",
+        }
+        serving = ServingConfig(
+            num_workers=2, max_batch_size=2, queue_capacity=16, key_frame_interval=2
+        )
+        with StageProfiler() as profiler, api.Server(micro_bundle, serving=serving) as server:
+            report = server.serve_load(
+                streams=2,
+                rate_fps=100.0,
+                seed=1,
+                telemetry=TelemetryConfig(enabled=True, ring_capacity=1 << 14),
+            )
+        spans: dict[int, Counter] = {}
+        feedback: dict[int, dict] = {}
+        for event in report.trace_events:
+            if event.trace_id > 0:
+                spans.setdefault(event.trace_id, Counter())[event.name] += 1
+            if event.name == "serving/scale_feedback":
+                feedback[event.trace_id] = event.attrs
+        completed = [t for t, names in spans.items() if names["serving/complete_frame"]]
+        assert len(completed) == sum(stream.completed for stream in report.streams) > 0
+        assert {feedback[t]["kind"] for t in completed} == {"dff_key", "dff_warp"}
+        for trace_id in completed:
+            names = spans[trace_id]
+            key_frame = feedback[trace_id]["kind"] == "dff_key"
+            assert names["serving/plan"] == 1
+            assert names["serving/complete"] == 1
+            # Key frames run the backbone, warped frames only the head.
+            assert names["serving/backbone_batch"] == int(key_frame)
+            assert names["serving/head_batch"] == int(not key_frame)
+            # Only key frames feed the regressor.  The regress region spans
+            # its whole micro-batch, so every traced frame carries it once.
+            assert (feedback[trace_id]["next_scale"] is not None) == key_frame
+            assert names["serving/regress"] == 1
+        # The profiler over the same load records the same five regions.
+        assert {e.name for e in report.trace_events if e.name in regions} == regions
+        top_level = {path for path in profiler.stages() if path.count("/") == 1}
+        assert {path for path in top_level if path.startswith("serving/")} == regions
 
     def test_serve_load_without_telemetry_emits_nothing(self, micro_bundle):
         serving = ServingConfig(num_workers=1, max_batch_size=2, queue_capacity=8)

@@ -108,6 +108,19 @@ class TestStageScopes:
         for counts in per_thread.values():
             assert sum(counts.values()) == 2  # one outer + one leaf each
 
+    def test_same_path_merges_across_threads(self):
+        profiler = StageProfiler()
+        profiler._record("step", 0.1)
+        other = threading.Thread(target=profiler._record, args=("step", 0.3))
+        other.start()
+        other.join(timeout=5)
+        assert not other.is_alive()
+        stats = profiler.stages()["step"]
+        assert profiler.thread_count() == 2
+        assert stats["count"] == 2
+        assert stats["total_s"] == pytest.approx(0.4)
+        assert stats["mean_ms"] == pytest.approx(200.0)
+
     def test_format_and_as_dict(self):
         profiler = StageProfiler()
         with profiler:

@@ -1,4 +1,4 @@
-"""Tests for repro.utils (seeding, timers, registry, checkpoints, logging)."""
+"""Tests for repro.utils (seeding, registry, checkpoints, logging)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import pytest
 
 from repro.utils import (
     Registry,
-    Timer,
-    WallClock,
     get_logger,
     load_params,
     new_rng,
@@ -53,53 +51,6 @@ class TestSeeding:
     def test_spawn_rngs_negative_count_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class TestTimer:
-    def test_wallclock_measures_nonnegative(self):
-        with WallClock() as clock:
-            sum(range(100))
-        assert clock.elapsed >= 0.0
-
-    def test_add_and_mean(self):
-        timer = Timer()
-        timer.add("step", 0.1)
-        timer.add("step", 0.3)
-        assert timer.mean_ms("step") == pytest.approx(200.0)
-
-    def test_negative_duration_rejected(self):
-        timer = Timer()
-        with pytest.raises(ValueError):
-            timer.add("bad", -1.0)
-
-    def test_mean_of_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            Timer().mean_ms("missing")
-
-    def test_total_and_count(self):
-        timer = Timer()
-        timer.add("x", 0.5)
-        timer.add("x", 0.25)
-        assert timer.total_s("x") == pytest.approx(0.75)
-        assert timer.count("x") == 2
-        assert timer.total_s("unknown") == 0.0
-        assert timer.count("unknown") == 0
-
-    def test_context_manager_records(self):
-        timer = Timer()
-        with timer.time("block"):
-            sum(range(10))
-        assert timer.count("block") == 1
-
-    def test_merge(self):
-        a = Timer()
-        b = Timer()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.count("x") == 2
-        assert a.count("y") == 1
 
 
 class TestRegistry:
