@@ -513,11 +513,11 @@ class Cluster:
 
     ``mode="simulate"`` (the default) runs the calibrated virtual-time engine
     — the per-scale service costs are measured on the bundle's real detector,
-    everything else is deterministic; ``mode="inprocess"`` replays the trace
-    against real :class:`~repro.serving.InferenceServer` shards in this
-    process; ``mode="process"`` spawns one OS process per shard (frames over
-    framed pipes, with crash supervision, stream migration and optional fault
-    injection via ``cluster.fault``).
+    everything else is deterministic; ``mode="process"`` replays the trace in
+    wall-clock time against real :class:`~repro.serving.InferenceServer`
+    shards, one spawned OS process each (frames over framed pipes, with crash
+    supervision, stream migration and optional fault injection via
+    ``cluster.fault``).
     """
 
     def __init__(
@@ -535,7 +535,7 @@ class Cluster:
             )
         self._bundle = bundle
         #: untrained source of the bundle; training is deferred until a run
-        #: actually needs weights (calibration or in-process shards)
+        #: actually needs weights (calibration or process shards)
         self._pipeline = pipeline
         #: saved-bundle directory (when known) — process-mode replicas load
         #: straight from it instead of re-saving to a temporary directory
@@ -578,19 +578,22 @@ class Cluster:
     ) -> "Cluster":
         """Resolve configs, train (or load) the bundle, optionally calibrate.
 
-        ``cluster`` may be a :class:`ClusterConfig` or a nested plain dict.
-        With ``calibrate=False`` the simulate mode falls back to the analytic
-        area-proportional service model instead of timing the real detector —
+        ``cluster`` may be a :class:`ClusterConfig` or a nested plain dict;
+        it is validated first, so a bad mode or bound fails before anything
+        loads.  With ``calibrate=False`` the simulate mode falls back to the
+        analytic area-proportional service model instead of timing the real detector —
         and training is deferred, so a pure virtual-time run never trains at
-        all (in-process runs still train on first use).
+        all (process-mode runs still train on first use).
         """
+        if isinstance(cluster, Mapping):
+            cluster = ClusterConfig.from_dict(cluster)
+        if cluster is not None:
+            cluster.validate()
         pipeline = Pipeline.from_config(
             config, seed=seed, config_file=config_file, overrides=overrides, dataset=dataset
         )
         if bundle_dir is not None:
             pipeline = Pipeline.from_bundle(bundle_dir, pipeline.config, pipeline.dataset_cls)
-        if isinstance(cluster, Mapping):
-            cluster = ClusterConfig.from_dict(cluster)
         instance = cls(
             cluster=cluster,
             serving=pipeline.config.serving,
@@ -616,14 +619,14 @@ class Cluster:
         # Weights are only needed for real shards (or calibration, which the
         # service_model property triggers itself).
         model = self.service_model if cluster.mode == "simulate" else self._service_model
-        needs_weights = cluster.mode in ("inprocess", "process")
+        process = cluster.mode == "process"
         return ClusterController(
             cluster=cluster,
             serving=self.serving,
             adascale=self.adascale,
             model=model,
-            bundle=self.bundle if needs_weights else self._bundle,
-            bundle_dir=self._bundle_dir if cluster.mode == "process" else None,
+            bundle=self.bundle if process else self._bundle,
+            bundle_dir=self._bundle_dir if process else None,
         )
 
     def run_scenario(

@@ -22,8 +22,8 @@ Commands:
 * ``cluster`` — run a sharded multi-replica deployment through a
   trace-driven workload scenario (flash crowds, diurnal cycles, heavy-tail
   churn, recorded JSONL traces) with the SLO-aware control plane, either on
-  the calibrated virtual-time engine or on real in-process shards (see
-  :mod:`repro.cluster`);
+  the calibrated virtual-time engine or on real shards, one OS process each
+  (see :mod:`repro.cluster`);
 * ``obs`` — summarize or export a telemetry span log recorded by a traced
   ``serve``/``cluster`` run (``--span-log``): stage/shard rollup tables, SLO
   burn rates, and Chrome-trace / Prometheus exports (see
@@ -263,11 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--mode",
-        choices=("simulate", "inprocess", "process"),
+        choices=("simulate", "process"),
         default="simulate",
         help=(
             "simulate: calibrated virtual-time engine (deterministic); "
-            "inprocess: real InferenceServer shards in this process; "
             "process: one spawned OS process per shard (frames over framed "
             "pipes, crash supervision, stream migration)"
         ),
@@ -343,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-scale",
         type=float,
         default=0.25,
-        help="inprocess replay speed: 1 = real-time arrivals, 0 = as fast as possible",
+        help=(
+            "process-mode replay speed: 1 = real-time arrivals, 0 = as fast "
+            "as possible (simulate runs on virtual time)"
+        ),
     )
     cluster.add_argument(
         "--output",
@@ -607,11 +609,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
 
     if args.shards < 1:
         raise SystemExit(f"repro cluster: error: --shards must be >= 1, got {args.shards}")
-    if args.autoscale and args.mode == "inprocess":
-        raise SystemExit(
-            "repro cluster: error: --autoscale needs --mode simulate or process "
-            "(in-process shard add/drain is not supported)"
-        )
     fault = ClusterConfig().fault
     if args.inject_fault is not None:
         try:

@@ -17,12 +17,11 @@ chooses, the co-design the paper's scale/speed trade-off enables:
 * :mod:`~repro.cluster.scenarios` — the trace-driven workload catalog
   (steady, diurnal, flash_crowd, heavy_tail, slo_surge, recorded JSONL
   traces), every trace deterministic and replayable;
-* :mod:`~repro.cluster.replica` — real in-process shard handles over
-  :class:`~repro.serving.InferenceServer`, plus the pickled-config
-  :class:`ReplicaSpec` spawn seam;
+* :mod:`~repro.cluster.replica` — the pickled-config :class:`ReplicaSpec`
+  spawn seam that builds one shard's :class:`~repro.serving.InferenceServer`;
 * :mod:`~repro.cluster.procpool` / :mod:`~repro.cluster.ipc` /
-  :mod:`~repro.cluster.faults` — the process-parallel backend: one spawned
-  OS process per shard behind the same control surface, frames over a
+  :mod:`~repro.cluster.faults` — the real-shard backend: one spawned OS
+  process per shard behind the shard control surface, frames over a
   framed length-prefixed pipe protocol, with crash supervision,
   cross-shard stream migration and scheduled fault injection;
 * :mod:`~repro.cluster.simulation` — the calibrated virtual-time engine that
@@ -54,7 +53,7 @@ from repro.cluster.controller import (
 )
 from repro.cluster.governor import Autoscaler, GovernorAction, ScaleGovernor
 from repro.cluster.procpool import ProcessReplica, ReplicaSupervisor
-from repro.cluster.replica import InProcessReplica, ReplicaSpec
+from repro.cluster.replica import ReplicaSpec
 from repro.cluster.report import ClusterReport, ShardReport
 from repro.cluster.router import Router
 from repro.cluster.scenarios import TraceEvent, WorkloadTrace, build_scenario
@@ -75,7 +74,6 @@ __all__ = [
     "FaultConfig",
     "GovernorAction",
     "GovernorConfig",
-    "InProcessReplica",
     "ProcessPoolConfig",
     "ProcessReplica",
     "ReplicaSpec",

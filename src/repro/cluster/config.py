@@ -337,9 +337,9 @@ class ClusterConfig(SerializableConfig):
 
     num_shards: int = 2
     #: "simulate" — calibrated virtual-time engine (deterministic, used by the
-    #: scenario suite and scaling benchmarks); "inprocess" — real
-    #: :class:`~repro.serving.InferenceServer` shards in this process;
-    #: "process" — one spawned OS process per shard, frames over framed pipes
+    #: scenario suite and scaling benchmarks); "process" — real
+    #: :class:`~repro.serving.InferenceServer` shards, one spawned OS process
+    #: per shard, frames over framed pipes
     mode: str = "simulate"
     router: RouterConfig = field(default_factory=RouterConfig)
     governor: GovernorConfig = field(default_factory=GovernorConfig)
@@ -355,10 +355,8 @@ class ClusterConfig(SerializableConfig):
         """Sanity checks; raises ``ValueError`` on inconsistency."""
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.mode not in ("simulate", "inprocess", "process"):
-            raise ValueError(
-                f"mode must be 'simulate', 'inprocess' or 'process', got {self.mode!r}"
-            )
+        if self.mode not in ("simulate", "process"):
+            raise ValueError(f"mode must be 'simulate' or 'process', got {self.mode!r}")
         self.router.validate()
         self.governor.validate()
         self.autoscaler.validate()

@@ -7,10 +7,12 @@ through them:
 * ``mode="simulate"`` — the calibrated virtual-time engine
   (:class:`~repro.cluster.simulation.ClusterSimulation`): deterministic,
   machine-independent, used by the scenario suite and the scaling benchmark;
-* ``mode="inprocess"`` — real :class:`~repro.serving.InferenceServer` shards
-  executing real frames in wall-clock time (optionally time-compressed),
-  sharing one bundle's weights; the governor ticks on the wall clock between
-  submissions.
+* ``mode="process"`` — one spawned OS process per shard
+  (:class:`~repro.cluster.procpool.ProcessReplica`), each running a real
+  :class:`~repro.serving.InferenceServer` on real frames in wall-clock time
+  (optionally time-compressed), under a
+  :class:`~repro.cluster.procpool.ReplicaSupervisor`; the governor and the
+  autoscaler tick on the wall clock between submissions.
 
 Both paths end in the same :class:`~repro.cluster.report.ClusterReport`.
 
@@ -31,7 +33,7 @@ from repro.cluster.config import ClusterConfig, ScenarioConfig
 from repro.cluster.faults import build_fault_injector
 from repro.cluster.governor import Autoscaler, GovernorAction, ScaleGovernor
 from repro.cluster.procpool import ProcessReplica, ReplicaSupervisor
-from repro.cluster.replica import InProcessReplica, ReplicaSpec
+from repro.cluster.replica import ReplicaSpec
 from repro.cluster.report import ClusterReport
 from repro.cluster.router import Router
 from repro.cluster.scenarios import WorkloadTrace, build_scenario
@@ -79,14 +81,8 @@ class ClusterController:
                 "simulate mode needs a ServiceModel — calibrate one from a bundle "
                 "or use analytic_service_model()"
             )
-        if cluster.mode in ("inprocess", "process") and bundle is None:
-            raise ValueError(f"{cluster.mode} mode needs a trained ExperimentBundle")
-        if cluster.mode == "inprocess" and cluster.autoscaler.enabled:
-            raise ValueError(
-                "the autoscaler is not supported in inprocess mode (shard "
-                "add/drain needs the process-spawn seam); use mode='process' "
-                "or 'simulate', or disable the autoscaler"
-            )
+        if cluster.mode == "process" and bundle is None:
+            raise ValueError("process mode needs a trained ExperimentBundle")
         self.cluster = cluster
         self.serving = serving
         self.adascale = adascale
@@ -106,7 +102,8 @@ class ClusterController:
     ) -> ClusterReport:
         """Replay ``scenario`` (a config or a pre-built trace) to completion.
 
-        ``time_scale`` only applies to in-process replay: 1.0 = real-time
+        ``time_scale`` paces the wall-clock replay of process mode (the
+        simulation runs on virtual time and ignores it): 1.0 = real-time
         arrivals, smaller = compressed, 0 = as fast as admission allows (the
         governor then steers on wall-clock latency under burst conditions).
         """
@@ -116,9 +113,7 @@ class ClusterController:
             trace, name = build_scenario(scenario), scenario.name
         if self.cluster.mode == "simulate":
             return self._run_simulated(trace, name)
-        if self.cluster.mode == "process":
-            return self._run_process(trace, name, time_scale)
-        return self._run_inprocess(trace, name, time_scale)
+        return self._run_process(trace, name, time_scale)
 
     # -- simulate --------------------------------------------------------------
     def _run_simulated(self, trace: WorkloadTrace, name: str) -> ClusterReport:
@@ -145,103 +140,17 @@ class ClusterController:
             timeline=tuple(simulation.timeline),
         )
 
-    # -- inprocess ---------------------------------------------------------------
-    def _run_inprocess(
-        self, trace: WorkloadTrace, name: str, time_scale: float
-    ) -> ClusterReport:
-        governor = _build_governor(self.cluster, self.ladder)
-        router = Router(self.cluster.router)
-        replicas = [
-            InProcessReplica(shard_id, self.bundle, self.serving).start()
-            for shard_id in range(self.cluster.num_shards)
-        ]
-        # Stream sources: validation snippets assigned round-robin by id; a
-        # trace longer than a snippet wraps around (video loop replay).
-        max_stream_id = max(
-            (event.stream_id for event in trace if event.kind == "open"), default=-1
-        )
-        sources = round_robin_streams(self.bundle.val_dataset, max(max_stream_id + 1, 1))
-        timeline = []
-        start = time.monotonic()
-        interval_s = self.cluster.governor.interval_s
-        next_tick = start + interval_s
-
-        def tick() -> None:
-            """Fire the governor when its control period has elapsed."""
-            nonlocal next_tick
-            now = time.monotonic()
-            if governor is not None and now >= next_tick:
-                timeline.extend(governor.step(replicas, now - start))
-                next_tick = now + interval_s
-
-        try:
-            for event in trace:
-                # Sleep toward the (time-scaled) arrival in control-period
-                # slices so the governor keeps ticking through arrival gaps.
-                if time_scale > 0:
-                    target = start + event.time_s * time_scale
-                    while True:
-                        tick()
-                        delay = target - time.monotonic()
-                        if delay <= 0:
-                            break
-                        time.sleep(min(delay, interval_s))
-                else:
-                    tick()
-                if event.kind == "open":
-                    shard = router.assign(event.stream_id, replicas)
-                    if shard is not None:
-                        shard.open_stream(event.stream_id)
-                elif event.kind == "frame":
-                    shard = router.lookup(event.stream_id)
-                    if shard is not None:
-                        frames = sources[event.stream_id]
-                        image = frames[event.frame_index % len(frames)].image
-                        shard.submit(event.stream_id, image, event.frame_index)
-                elif event.kind == "close":
-                    shard = router.release(event.stream_id)
-                    if shard is not None:
-                        shard.close_stream(event.stream_id)
-            # Keep the control loop alive through the drain: the backlog peaks
-            # exactly after the last submission, which is when an open-loop
-            # "drain then stop" would leave the governor blind.
-            deadline = time.monotonic() + 600.0
-            pending = list(replicas)
-            while pending and time.monotonic() < deadline:
-                tick()
-                pending = [
-                    replica
-                    for replica in pending
-                    if not replica.drain(timeout=min(0.05, interval_s))
-                ]
-        finally:
-            for replica in replicas:
-                replica.stop()
-        snapshots = {replica.shard_id: replica.metrics.snapshot() for replica in replicas}
-        caps = {replica.shard_id: replica.scale_cap for replica in replicas}
-        return ClusterReport.build(
-            scenario=name,
-            mode="inprocess",
-            snapshots=snapshots,
-            scale_caps=caps,
-            streams_opened=trace.num_streams - router.rejected_streams,
-            streams_rejected=router.rejected_streams,
-            frames_unrouted=router.rejected_frames,
-            timeline=tuple(timeline),
-        )
-
     # -- process -----------------------------------------------------------------
     def _run_process(
         self, trace: WorkloadTrace, name: str, time_scale: float
     ) -> ClusterReport:
         """Replay over real OS-process shards with supervision and faults.
 
-        Structure mirrors :meth:`_run_inprocess`; the differences are the
-        spawn seam (each shard is a :class:`~repro.cluster.procpool
-        .ProcessReplica` built from a pickled :class:`ReplicaSpec` pointing at
-        a saved bundle), the :class:`~repro.cluster.procpool.ReplicaSupervisor`
-        in the tick loop (crash → migrate → respawn), the configured fault
-        injector, and — because shard add/drain is real here — the autoscaler.
+        Each shard is a :class:`~repro.cluster.procpool.ProcessReplica` built
+        from a pickled :class:`ReplicaSpec` pointing at a saved bundle.  The
+        tick loop runs the :class:`~repro.cluster.procpool.ReplicaSupervisor`
+        (crash → migrate → respawn), the configured fault injector, the
+        governor and the autoscaler (shard add/drain).
 
         When a tracer is active, its config rides inside every spawned
         replica's spec: the children trace their own serving stacks and ship
@@ -280,6 +189,8 @@ class ClusterController:
         # Per-shard metrics must survive respawns: remember every shard's
         # first ServerMetrics so the final report sees the whole run.
         shard_metrics = {replica.shard_id: replica.metrics for replica in fleet}
+        # Stream sources: validation snippets assigned round-robin by id; a
+        # trace longer than a snippet wraps around (video loop replay).
         max_stream_id = max(
             (event.stream_id for event in trace if event.kind == "open"), default=-1
         )

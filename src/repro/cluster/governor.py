@@ -21,7 +21,7 @@ the knobs the rest of the stack exposes:
 
 Both operate on a narrow *control view* of a shard (rolling p95, queue depth,
 occupancy, the two setters), so the same policy instances drive real
-in-process :class:`~repro.serving.InferenceServer` shards and the
+process shards (:class:`~repro.cluster.procpool.ProcessReplica`) and the
 virtual-time simulation — the control plane cannot tell the difference, which
 is exactly what makes the scenario suite's governor results transferable.
 
@@ -237,13 +237,6 @@ class ScaleGovernor:
                 reason=f"p95 {p95_ms:.1f}ms well under target",
             )
         return None
-
-    def scale_cap_of(self, shard_id: int) -> int | None:
-        """The cap this governor currently imposes on ``shard_id`` (None = full)."""
-        state = self._states.get(shard_id)
-        if state is None or state.rung == 0:
-            return None
-        return self.ladder[state.rung]
 
 
 @CLUSTER_AUTOSCALERS.register("occupancy")

@@ -4,22 +4,22 @@ This module turns :class:`~repro.cluster.replica.ReplicaSpec` — the
 pickled-config spawn seam — into real OS processes.  Three pieces:
 
 * :func:`replica_main` is the **child** entry point.  Spawned via
-  ``multiprocessing.get_context("spawn")``, it rebuilds the replica from its
+  ``multiprocessing.get_context("spawn")``, it rebuilds the server from its
   spec (``ExperimentBundle.load`` from ``bundle_dir``), then serves a framed
   :class:`~repro.cluster.ipc.FramedChannel` message loop: ``Submit`` frames
   in, per-frame ``Done`` results and periodic ``Telemetry`` snapshots out.
   SIGTERM (or an orderly ``Shutdown`` message, or parent death) exits with
   status 0 after stopping the server — no orphaned worker threads.
 
-* :class:`ProcessReplica` is the **parent-side proxy**, exposing the same
-  control surface as :class:`~repro.cluster.replica.InProcessReplica`
-  (``submit`` / ``open_stream`` / ``set_scale_cap`` / ``set_max_batch_size``
-  / ``drain`` / rolling telemetry), so the router, governor and report treat
-  both backends identically.  Its submission window is capped at the child's
-  ``queue_capacity``: the child's ``block``-policy admission can then never
-  block its own pipe-reader loop (the queue always has room for everything
-  the parent has in flight), which is what makes the lossless backpressure
-  policy deadlock-free across the process boundary.
+* :class:`ProcessReplica` is the **parent-side proxy**, exposing the shard
+  control surface (``submit`` / ``open_stream`` / ``set_scale_cap`` /
+  ``set_max_batch_size`` / ``drain`` / rolling telemetry) that the router,
+  governor and report also drive on the virtual-time
+  :class:`~repro.cluster.simulation.SimulatedShard`.  Its submission window
+  is capped at the child's ``queue_capacity``: the child's ``block``-policy
+  admission can then never block its own pipe-reader loop (the queue always
+  has room for everything the parent has in flight), which is what makes the
+  lossless backpressure policy deadlock-free across the process boundary.
 
 * :class:`ReplicaSupervisor` watches the fleet: a dead child (detected as a
   typed channel error, never a hang) triggers **stream migration** — every
@@ -75,7 +75,6 @@ from repro.detection.rfcn import DetectionResult
 from repro.observability.metrics import MetricsRegistry, diff_snapshots, get_registry
 from repro.observability.sinks import SpanExportBuffer
 from repro.observability.trace import SpanEvent, Tracer, active_tracer
-from repro.registries import SHARD_BACKENDS
 from repro.serving.metrics import ServerMetrics
 from repro.serving.request import FrameRequest, FrameResult, RequestStatus
 from repro.utils.logging import get_logger
@@ -95,16 +94,16 @@ def _finite(value: float) -> float:
 def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2) -> None:
     """Entry point of one spawned replica process.
 
-    Builds the replica from ``spec`` (bundle loaded from ``spec.bundle_dir``),
+    Builds the server from ``spec`` (bundle loaded from ``spec.bundle_dir``),
     announces readiness with ``Hello``, answers the parent's clock probes,
     then serves the message loop until a ``Shutdown`` message, SIGTERM, or
     parent death.  Always stops the server before returning, so worker
     threads never outlive the message loop; a clean path exits with status 0.
 
     When ``spec.telemetry`` is set the child activates its *own* tracer: the
-    serving stack's instrumentation sites light up exactly as they would
-    in-process, spans land in a bounded :class:`SpanExportBuffer` (overflow
-    sheds and counts, never blocks admission or workers), and the buffer is
+    serving stack's instrumentation sites light up exactly as they would in
+    a standalone server, spans land in a bounded :class:`SpanExportBuffer`
+    (overflow sheds and counts, never blocks admission or workers), and the buffer is
     drained into batched ``Spans`` messages on the telemetry cadence — plus
     one final flush after the server stops, so crash-free shutdowns lose
     nothing.  Metric-family deltas of the child's default registry ship the
@@ -169,9 +168,7 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
 
         return callback
 
-    replica = spec.build()
-    server = replica.server
-    server.start()
+    server = spec.build().start()
     metrics = server.metrics
     batch_mark = 0
     depth_mark = 0
@@ -328,14 +325,12 @@ _TRACE_NAMESPACES = itertools.count(1)
 _TRACE_NAMESPACE_BITS = 32
 
 
-@SHARD_BACKENDS.register("process")
 class ProcessReplica:
     """Parent-side proxy for one spawned replica process.
 
-    Mirrors :class:`~repro.cluster.replica.InProcessReplica`'s control
-    surface; per-frame results resolve the same ``FrameRequest`` futures the
-    in-process backend returns.  ``metrics`` accepts an existing
-    :class:`~repro.serving.metrics.ServerMetrics` so a respawned shard keeps
+    Per-frame results resolve the same ``FrameRequest`` futures an
+    :class:`~repro.serving.InferenceServer` returns.  ``metrics`` accepts an
+    existing :class:`~repro.serving.metrics.ServerMetrics` so a respawned shard keeps
     accumulating into its predecessor's counters; ``registry`` (default: the
     process-wide one) receives the child's shipped metric-family deltas under
     ``shard``/``pid``/``generation`` labels, and ``generation`` counts
@@ -810,19 +805,6 @@ class ProcessReplica:
             self._send(message)
         except FrameError:
             pass
-
-
-@SHARD_BACKENDS.register("inprocess")
-def _build_inprocess_replica(
-    spec: ReplicaSpec,
-    procpool: ProcessPoolConfig | None = None,  # noqa: ARG001 - surface parity
-    metrics: ServerMetrics | None = None,
-):
-    """Spec-driven construction of the in-process backend (registry parity)."""
-    replica = spec.build()
-    if metrics is not None:
-        replica.server.metrics = metrics
-    return replica
 
 
 # -- supervision ---------------------------------------------------------------

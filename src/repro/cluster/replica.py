@@ -1,23 +1,13 @@
-"""Replica handles: real in-process shards and the process-spawn seam.
+"""The process-spawn seam: one shard as plain pickled config.
 
-:class:`InProcessReplica` wraps one real
-:class:`~repro.serving.InferenceServer` behind the same narrow surface the
-virtual-time :class:`~repro.cluster.simulation.SimulatedShard` exposes —
-stream lifecycle, frame submission, the control-plane view (rolling p95,
-queue depth, occupancy, ``set_scale_cap`` / ``set_max_batch_size``) — so the
-:class:`~repro.cluster.router.Router` and the governor drive either backend
-unchanged.  All replicas of one process share the bundle's model weights
-(inference-mode forwards are side-effect free), so N in-process shards cost
-one copy of the parameters.
-
-:class:`ReplicaSpec` is the **process-spawn seam**: everything a worker
-process needs to stand up an equivalent replica — the experiment config as a
-plain dict, the serving config, and the directory of a saved bundle — in a
-frozen dataclass that pickles losslessly (asserted by the cluster tests).
-:meth:`ReplicaSpec.build` materialises the replica in-process;
+:class:`ReplicaSpec` carries everything a worker process needs to stand up
+a shard — the experiment config as a plain dict, the serving config, and the
+directory of a saved bundle — in a frozen dataclass that pickles losslessly
+(asserted by the cluster tests).  :meth:`ReplicaSpec.build` materialises the
+shard's :class:`~repro.serving.InferenceServer` in the calling process;
 :class:`~repro.cluster.procpool.ProcessReplica` ships the same spec across a
-``multiprocessing`` spawn boundary and runs exactly that body in the child —
-router, governor and report code drive either backend unchanged.
+``multiprocessing`` spawn boundary and :func:`~repro.cluster.procpool
+.replica_main` runs exactly that body in the child.
 """
 
 from __future__ import annotations
@@ -26,105 +16,11 @@ import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import ExperimentConfig, ServingConfig, TelemetryConfig
 from repro.core.pipeline import ExperimentBundle
 from repro.serving.server import InferenceServer
 
-__all__ = ["InProcessReplica", "ReplicaSpec"]
-
-
-class InProcessReplica:
-    """One real serving shard living in this process."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        bundle: ExperimentBundle,
-        serving: ServingConfig,
-    ) -> None:
-        self.shard_id = shard_id
-        self.serving = serving
-        self.server = InferenceServer(bundle, serving=serving, shard_id=shard_id)
-        self.accepting = True
-        self.baseline_batch_size = serving.max_batch_size
-        self._streams: set[int] = set()
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self) -> "InProcessReplica":
-        """Spawn the shard's worker pool (idempotent)."""
-        self.server.start()
-        return self
-
-    def stop(self) -> None:
-        """Close the shard's scheduler and join its workers."""
-        self.server.stop(cancel_pending=False)
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until every submitted frame reached a terminal state."""
-        return self.server.drain(timeout=timeout)
-
-    # -- stream lifecycle ------------------------------------------------------
-    def open_stream(self, stream_id: int, initial_scale: int | None = None) -> None:
-        """Register a stream on this shard (``initial_scale``: migration re-seed)."""
-        self.server.open_stream(stream_id, initial_scale=initial_scale)
-        self._streams.add(stream_id)
-
-    def close_stream(self, stream_id: int) -> None:
-        """Mark a stream closed (its session stays for finalize())."""
-        self._streams.discard(stream_id)
-
-    def submit(self, stream_id: int, image: np.ndarray, frame_index: int):
-        """Enqueue one frame on the shard's real scheduler."""
-        return self.server.submit(stream_id, image, frame_index=frame_index)
-
-    def finalize(self):
-        """Per-stream results of everything this shard served."""
-        return self.server.finalize()
-
-    # -- control-plane view ----------------------------------------------------
-    @property
-    def metrics(self):
-        """The shard's :class:`~repro.serving.metrics.ServerMetrics`."""
-        return self.server.metrics
-
-    @property
-    def active_streams(self) -> int:
-        """Streams currently open on this shard."""
-        return len(self._streams)
-
-    @property
-    def queue_depth(self) -> int:
-        """Frames admitted but not yet dispatched."""
-        return self.server.scheduler.depth
-
-    @property
-    def occupancy(self) -> float:
-        """Outstanding frames per worker (the live load signal)."""
-        return self.server.outstanding / self.serving.num_workers
-
-    @property
-    def max_batch_size(self) -> int:
-        """The scheduler's current micro-batch bound."""
-        return self.server.scheduler.max_batch_size
-
-    @property
-    def scale_cap(self) -> int | None:
-        """The control plane's current quality ceiling."""
-        return self.server.scale_cap
-
-    def recent_latency(self, window: int):
-        """Rolling end-to-end latency over the last ``window`` completions."""
-        return self.server.metrics.recent_latency(window)
-
-    def set_scale_cap(self, scale_cap: int | None) -> None:
-        """Clamp the shard's streams to at most ``scale_cap``."""
-        self.server.set_scale_cap(scale_cap)
-
-    def set_max_batch_size(self, max_batch_size: int) -> None:
-        """Adjust the shard scheduler's micro-batch bound."""
-        self.server.set_max_batch_size(max_batch_size)
+__all__ = ["ReplicaSpec"]
 
 
 @dataclass(frozen=True)
@@ -174,13 +70,13 @@ class ReplicaSpec:
         """Whether the spec survives a pickle round-trip unchanged."""
         return pickle.loads(pickle.dumps(self)) == self
 
-    def build(self, dataset_cls: type | None = None) -> InProcessReplica:
-        """Materialise the replica in the calling process.
+    def build(self, dataset_cls: type | None = None) -> InferenceServer:
+        """Materialise the shard's (unstarted) server in the calling process.
 
         :func:`~repro.cluster.procpool.replica_main` runs exactly this body
         on the far side of a spawn boundary;
         :class:`~repro.cluster.procpool.ProcessReplica` is the parent-side
-        IPC proxy that satisfies the same replica surface.
+        IPC proxy in front of it.
         """
         config = ExperimentConfig.from_dict(self.experiment)
         serving = ServingConfig.from_dict(self.serving)
@@ -189,4 +85,4 @@ class ReplicaSpec:
 
             dataset_cls = _resolve_dataset_cls(config)
         bundle = ExperimentBundle.load(self.bundle_dir, config, dataset_cls)
-        return InProcessReplica(self.shard_id, bundle, serving)
+        return InferenceServer(bundle, serving=serving, shard_id=self.shard_id)

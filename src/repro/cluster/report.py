@@ -79,7 +79,7 @@ class ClusterReport:
     """Typed result of one cluster scenario run."""
 
     scenario: str
-    mode: str  # "simulate" | "inprocess" | "process"
+    mode: str  # "simulate" | "process"
     num_shards: int
     shards: tuple[ShardReport, ...]
     completed: int
@@ -97,7 +97,7 @@ class ClusterReport:
     #: shed frames keyed by cause — ``migrated`` vs ``dropped`` is the
     #: resilience distinction: a migrated frame's stream continued elsewhere
     shed_by_cause: dict = field(default_factory=dict)
-    #: process-mode resilience counters (zero in simulate/inprocess runs)
+    #: process-mode resilience counters (zero in simulate runs)
     streams_migrated: int = 0
     streams_stranded: int = 0
     crashes: int = 0

@@ -160,11 +160,6 @@ class Router:
         return self._assignment.pop(stream_id, None)
 
     # -- introspection -------------------------------------------------------
-    @property
-    def assigned_streams(self) -> int:
-        """Streams currently pinned to a shard."""
-        return len(self._assignment)
-
     def streams_on(self, shard) -> list[int]:
         """Stream ids currently assigned to ``shard``."""
         return sorted(

@@ -3,7 +3,7 @@
 A scenario is a *generator of traces*: given a :class:`ScenarioConfig` it
 produces a :class:`WorkloadTrace` — a deterministic, time-ordered sequence of
 ``open`` / ``frame`` / ``close`` events over many streams — which the cluster
-controller replays against real in-process shards or the virtual-time engine.
+controller replays against real process shards or the virtual-time engine.
 Traces serialize to JSONL (:meth:`WorkloadTrace.save_jsonl`), so a workload
 observed once (or generated once) can be replayed bit-for-bit anywhere; the
 ``trace`` scenario is exactly that replay.

@@ -28,7 +28,7 @@ service time.
 :class:`ClusterSimulation` runs the event loop: trace events, batch
 completions, governor and autoscaler ticks, shard add/drain.  It shares the
 :class:`~repro.cluster.router.Router` and the governor/autoscaler *instances*
-with the in-process path — the control plane cannot tell which world it is
+with the process-shard path — the control plane cannot tell which world it is
 steering.
 """
 

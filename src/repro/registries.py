@@ -32,7 +32,6 @@ __all__ = [
     "EXPERIMENT_PRESETS",
     "FAULT_INJECTORS",
     "ROUTING_POLICIES",
-    "SHARD_BACKENDS",
     "SCALE_REGRESSORS",
     "SCHEDULER_POLICIES",
     "TELEMETRY_SINKS",
@@ -76,9 +75,6 @@ CLUSTER_AUTOSCALERS: Registry = Registry("cluster-autoscaler")
 #: Trace-driven workload generators of the cluster scenario suite.
 CLUSTER_SCENARIOS: Registry = Registry("cluster-scenario")
 
-#: Replica backends behind the shard control surface ("inprocess", "process").
-SHARD_BACKENDS: Registry = Registry("shard-backend")
-
 #: Supervisor-driven fault injectors of the cluster resilience suite.
 FAULT_INJECTORS: Registry = Registry("fault-injector")
 
@@ -97,8 +93,6 @@ def load_components() -> None:
     import repro.acceleration.seqnms  # noqa: F401
     import repro.cluster.faults  # noqa: F401  (registers fault injectors)
     import repro.cluster.governor  # noqa: F401  (registers governors/autoscalers)
-    import repro.cluster.procpool  # noqa: F401  (registers shard backends)
-    import repro.cluster.replica  # noqa: F401
     import repro.cluster.router  # noqa: F401  (registers routing policies)
     import repro.cluster.scenarios  # noqa: F401  (registers cluster scenarios)
     import repro.core.regressor  # noqa: F401  (registers scale regressors)

@@ -54,6 +54,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--unbatched" in capsys.readouterr().err
 
+    def test_cluster_refuses_removed_inprocess_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["cluster", "--mode", "inprocess"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'inprocess'" in err and "'simulate', 'process'" in err
+
     def test_preset_choices_come_from_registry(self):
         parser = build_parser()
         for name in EXPERIMENT_PRESETS.names():

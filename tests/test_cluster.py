@@ -5,8 +5,8 @@ scaling on the virtual-time engine and the ScaleGovernor holding p95 under
 target by degrading scale instead of shedding — plus the unit behaviour of
 every cluster component: service model, scenario suite (determinism + JSONL
 round-trips), router policies and admission control, governor/autoscaler
-feedback logic, the simulation engine, the in-process replica backend with
-its real control surface, the ReplicaSpec process seam, and the CLI command.
+feedback logic, the simulation engine, the control setters of the real shard
+server, the ReplicaSpec process seam, and the CLI command.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterController,
     GovernorConfig,
-    InProcessReplica,
     ReplicaSpec,
     Router,
     RouterConfig,
@@ -45,6 +44,7 @@ from repro.registries import (
     CLUSTER_SCENARIOS,
     ROUTING_POLICIES,
 )
+from repro.serving.server import InferenceServer
 
 ADA = AdaScaleConfig()  # ladder (128, 96, 72, 48, 32)
 SERVING = ServingConfig(num_workers=2, max_batch_size=4, queue_capacity=64)
@@ -519,85 +519,40 @@ class TestScalingAndSLOGates:
         assert restores
 
 
-# -- real in-process backend ---------------------------------------------------
-class TestInProcessCluster:
+# -- the real shard server ------------------------------------------------------
+class TestShardServerControl:
+    """The control setters a process shard's child applies to its server.
+
+    ``replica_main`` calls ``set_scale_cap`` / ``set_max_batch_size`` on its
+    :class:`~repro.serving.InferenceServer` when the ``SetScaleCap`` /
+    ``SetMaxBatchSize`` control messages arrive.
+    """
+
     def test_scale_cap_clamps_real_server(self, micro_bundle):
         serving = ServingConfig(num_workers=1, max_batch_size=2, queue_capacity=16)
-        replica = InProcessReplica(0, micro_bundle, serving).start()
-        try:
-            replica.open_stream(0)
+        with InferenceServer(micro_bundle, serving=serving, shard_id=0) as server:
+            server.open_stream(0)
             frames = list(micro_bundle.val_dataset)[0].frames()
-            replica.set_scale_cap(32)
-            assert replica.scale_cap == 32
+            server.set_scale_cap(32)
+            assert server.scale_cap == 32
             requests = [
-                replica.submit(0, frame.image, index) for index, frame in enumerate(frames)
+                server.submit(0, frame.image, index) for index, frame in enumerate(frames)
             ]
-            assert replica.drain(timeout=120.0)
+            assert server.drain(timeout=120.0)
             results = [request.result(timeout=1.0) for request in requests]
             assert all(result.ok for result in results)
             assert all(result.scale_used <= 32 for result in results)
-        finally:
-            replica.stop()
         # Telemetry flowed through the real ServerMetrics.
-        assert replica.metrics.snapshot().completed == len(frames)
+        assert server.metrics.snapshot().completed == len(frames)
 
     def test_set_max_batch_size_applies_at_runtime(self, micro_bundle):
         serving = ServingConfig(num_workers=1, max_batch_size=4, queue_capacity=16)
-        replica = InProcessReplica(0, micro_bundle, serving)
-        assert replica.max_batch_size == 4
-        replica.set_max_batch_size(1)
-        assert replica.max_batch_size == 1
-        assert replica.server.scheduler.max_batch_size == 1
+        server = InferenceServer(micro_bundle, serving=serving)
+        assert server.scheduler.max_batch_size == 4
+        server.set_max_batch_size(1)
+        assert server.scheduler.max_batch_size == 1
         with pytest.raises(ValueError):
-            replica.set_max_batch_size(0)
-
-    def test_inprocess_cluster_end_to_end(self, micro_bundle):
-        cluster = ClusterConfig(
-            num_shards=2, mode="inprocess", governor=GovernorConfig(enabled=False)
-        )
-        controller = ClusterController(
-            cluster=cluster,
-            serving=ServingConfig(num_workers=1, max_batch_size=2, queue_capacity=64),
-            adascale=micro_bundle.config.adascale,
-            bundle=micro_bundle,
-        )
-        scenario = ScenarioConfig(
-            name="steady", duration_s=2.0, num_streams=4, rate_fps=15.0, seed=6
-        )
-        report = controller.run(scenario, time_scale=0.0)
-        assert report.mode == "inprocess"
-        assert report.completed == report.submitted > 0
-        assert report.shed == 0
-        # Least-loaded placement spread the 4 streams over both shards.
-        assert all(shard.completed > 0 for shard in report.shards)
-        json.dumps(report.to_dict(), allow_nan=False)  # strict-JSON clean
-
-    def test_governor_degrades_real_cluster_under_impossible_slo(self, micro_bundle):
-        cluster = ClusterConfig(
-            num_shards=1,
-            mode="inprocess",
-            governor=GovernorConfig(
-                target_p95_ms=0.01,  # unmeetable: force the feedback loop to act
-                interval_s=0.01,
-                warmup_completions=2,
-                window=8,
-            ),
-        )
-        controller = ClusterController(
-            cluster=cluster,
-            serving=ServingConfig(num_workers=1, max_batch_size=2, queue_capacity=64),
-            adascale=micro_bundle.config.adascale,
-            bundle=micro_bundle,
-        )
-        scenario = ScenarioConfig(
-            name="steady", duration_s=1.5, num_streams=3, rate_fps=30.0, seed=7
-        )
-        report = controller.run(scenario, time_scale=0.5)
-        degrades = [a for a in report.timeline if a.action == "degrade"]
-        assert degrades, "governor never acted on a real cluster"
-        assert any(a.knob == "scale_cap" for a in degrades)
-        # The cap is live on the shard (ladder (64, 48, 32, 24): capped < 64).
-        assert report.shards[0].final_scale_cap in (24, 32, 48)
+            server.set_max_batch_size(0)
 
 
 class TestReplicaSpec:
@@ -610,16 +565,16 @@ class TestReplicaSpec:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         # The spawn seam: a worker process would run exactly this.
-        replica = clone.build(dataset_cls=type(micro_bundle.val_dataset))
-        assert replica.shard_id == 3
-        replica.start()
+        server = clone.build(dataset_cls=type(micro_bundle.val_dataset))
+        assert isinstance(server, InferenceServer) and server.shard_id == 3
+        server.start()
         try:
-            replica.open_stream(0)
+            server.open_stream(0)
             frame = list(micro_bundle.val_dataset)[0].frames()[0]
-            result = replica.submit(0, frame.image, 0).result(timeout=60.0)
+            result = server.submit(0, frame.image, 0).result(timeout=60.0)
             assert result.ok
         finally:
-            replica.stop()
+            server.stop()
 
 
 # -- facade / config / CLI -----------------------------------------------------
@@ -699,17 +654,19 @@ class TestClusterConfigAndFacade:
         assert report.completed > 0
         assert facade._bundle is None  # still untrained
 
-    def test_inprocess_autoscaler_rejected_loudly(self, micro_bundle):
-        with pytest.raises(ValueError, match="autoscaler"):
-            ClusterController(
-                cluster=ClusterConfig(
-                    num_shards=1,
-                    mode="inprocess",
-                    autoscaler=AutoscalerConfig(enabled=True),
-                ),
-                serving=SERVING,
-                adascale=micro_bundle.config.adascale,
-                bundle=micro_bundle,
+    def test_removed_inprocess_mode_is_refused(self):
+        with pytest.raises(ValueError, match="mode must be 'simulate' or 'process'"):
+            ClusterConfig(mode="inprocess").validate()
+
+    def test_loader_refuses_removed_inprocess_mode(self, tmp_path):
+        refusal = "mode must be 'simulate' or 'process'"
+        with pytest.raises(ValueError, match=refusal):
+            api.Cluster.from_config("tiny", cluster={"mode": "inprocess"}, calibrate=False)
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps({"num_shards": 2, "mode": "inprocess"}))
+        with pytest.raises(ValueError, match=refusal):
+            api.Cluster.from_config(
+                "tiny", cluster=ClusterConfig.load(path), calibrate=False
             )
 
     def test_flash_crowd_short_surge_still_valid(self):

@@ -74,14 +74,15 @@ def _run_sequence(replica, frames, stream_id, frame_indices, timeout=60.0):
 
 
 class TestSpawnSeam:
-    def test_process_results_match_inprocess_bit_for_bit(
+    def test_process_results_match_built_server_bit_for_bit(
         self, micro_config, micro_bundle_dir, frames
     ):
-        """The same spec, built on either side of the boundary, is one replica.
+        """The same spec, built on either side of the boundary, is one shard.
 
-        Both backends load identical saved weights and run the identical
-        sequential schedule, so detections must agree to the bit — the proof
-        that ``replica_main`` really runs ``ReplicaSpec.build`` unchanged.
+        The server ``spec.build()`` returns here and the spawned child load
+        identical saved weights and run the identical sequential schedule, so
+        detections must agree to the bit — the proof that ``replica_main``
+        really runs ``ReplicaSpec.build`` unchanged.
         """
         spec = _spec(micro_config, micro_bundle_dir)
         assert spec.roundtrips_by_pickle()
@@ -302,6 +303,58 @@ class TestFaultInjection:
             assert supervisor.stranded_streams == 0
         finally:
             _shutdown_fleet(fleet)
+
+
+class TestAutoscalerSeam:
+    def test_spawned_shard_serves_and_drained_shard_hands_off(
+        self, micro_config, micro_bundle_dir, frames
+    ):
+        """``spawn_shard`` / ``drain_shard`` — the autoscaler's two actions."""
+        fleet, router, supervisor, timeline = _fleet(micro_config, micro_bundle_dir, count=1)
+        original = fleet[0]
+        spawned = None
+        try:
+            spawned = supervisor.spawn_shard(
+                _spec(micro_config, micro_bundle_dir, shard_id=1), now=0.0
+            )
+            assert fleet == [original, spawned]
+            spawned.wait_ready(ProcessPoolConfig().start_timeout_s)
+            assert spawned.accepting and spawned.pid not in (None, original.pid)
+            # Least-loaded placement (ties by shard id): stream 0 on the
+            # original shard, stream 1 on the new one.
+            for stream_id in (0, 1):
+                router.assign(stream_id, fleet).open_stream(stream_id)
+            assert router.lookup(1) is spawned
+            served = _run_sequence(spawned, frames, 1, range(3))
+            assert [r.status for r in served] == [RequestStatus.COMPLETED] * 3
+
+            # Frames still in flight when the drain starts finish on the
+            # drained shard: a drain abandons nothing.
+            tail = [spawned.submit(1, frames[index], index) for index in range(3, 6)]
+            supervisor.drain_shard(spawned, now=1.0)
+            assert [r.result(timeout=5.0).status for r in tail] == (
+                [RequestStatus.COMPLETED] * 3
+            )
+            assert spawned not in fleet and not spawned.alive
+            assert spawned._process.exitcode == 0
+            # The drained shard takes no new placements...
+            assert not spawned.accepting
+            assert router.assign(2, [spawned, original]) is original
+            # ...and its stream moved to the surviving shard, where it keeps
+            # serving from its committed scale.
+            assert router.lookup(1) is original
+            continued = _run_sequence(original, frames, 1, range(6, 8))
+            assert [r.status for r in continued] == [RequestStatus.COMPLETED] * 2
+
+            snapshot = spawned.metrics.snapshot()
+            assert snapshot.submitted == snapshot.completed + snapshot.shed == 6
+            assert snapshot.shed == 0 and snapshot.failed == 0
+            actions = [(a.action, a.shard_id) for a in timeline]
+            assert ("spawn", 1) in actions and ("drain", 1) in actions
+            assert ("migrate", 0) in actions
+        finally:
+            # stop() is idempotent: a drained shard is already stopped.
+            _shutdown_fleet([original] + ([spawned] if spawned is not None else []))
 
 
 class TestFleetTracing:
@@ -558,6 +611,41 @@ class TestProcessModeEndToEnd:
             if r.get("ph") == "M" and r["name"] == "process_name"
         }
         assert stage_pids <= chrome_pids
+
+    def test_governor_degrades_real_cluster_under_impossible_slo(
+        self, micro_bundle, micro_bundle_dir
+    ):
+        """The governor acting on real shards: caps cross the process boundary."""
+        import repro.api as api
+
+        cluster = api.Cluster(
+            bundle=micro_bundle,
+            cluster=ClusterConfig(
+                num_shards=1,
+                mode="process",
+                governor=ClusterConfig().governor.with_(
+                    target_p95_ms=0.01,  # unmeetable: force the feedback loop to act
+                    interval_s=0.01,
+                    warmup_completions=2,
+                    window=8,
+                ),
+            ),
+            serving=ServingConfig(num_workers=1, max_batch_size=2, queue_capacity=64),
+        )
+        cluster._bundle_dir = micro_bundle_dir
+        report = cluster.run_scenario(
+            "steady", time_scale=0.5, duration_s=1.5, num_streams=3, rate_fps=30.0, seed=7
+        )
+        assert report.mode == "process"
+        assert report.submitted == report.completed + report.shed > 0
+        degrades = [a for a in report.timeline if a.action == "degrade"]
+        assert degrades, "governor never acted on a real cluster"
+        assert any(a.knob == "scale_cap" for a in degrades)
+        # Out of scale rungs, the governor halves the batch bound (2 -> 1).
+        assert any(a.knob == "max_batch_size" and a.new == 1 for a in degrades)
+        # The cap is live in the child: the final scale cap comes from the
+        # child's last telemetry (ladder (64, 48, 32, 24): capped < 64).
+        assert report.shards[0].final_scale_cap in (24, 32, 48)
 
     def test_fault_spec_parsing_round_trip(self):
         fault = parse_fault_spec("kill:shard=1,at=2.5")
