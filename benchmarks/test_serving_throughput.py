@@ -8,7 +8,7 @@ bursty arrival process, and — since the batch-first refactor — how much the
 stacked-tensor execution of scale-bucketed micro-batches buys over per-frame
 execution at each batch size, plus the startup-memory saved by sharing one
 detector across workers instead of cloning per-worker replicas.  A single
-stream measures the float32 detector path alone: its fps, per-stage profile
+stream measures the shipped detector path alone: its fps, per-stage profile
 and the cost of tracing it.
 
 Results are written to ``benchmarks/results/serving_throughput.txt``.
@@ -237,7 +237,7 @@ def _single_stream_run(bundle, streams, frames_per_stream: int) -> tuple[float, 
 
 
 def test_single_stream_profile(vid_bundle):
-    """Single-stream fps of the float32 detector path, plus its profile.
+    """Single-stream fps of the shipped detector path, plus its profile.
 
     The bundle runs the telemetry-overhead A/B/C; the median fps of its
     telemetry-off legs is the number the ``fps`` regression gate reads.  A
@@ -249,20 +249,11 @@ def test_single_stream_profile(vid_bundle):
         streams = [s * 2 for s in streams]
     frames_per_stream = min(len(s) for s in streams)
 
-    config32 = vid_bundle.config.with_(
-        detector=vid_bundle.config.detector.with_(inference_dtype="float32")
-    )
-    bundle32 = replace(
-        vid_bundle,
-        config=config32,
-        ms_detector=vid_bundle.ms_detector.with_config(config32.detector),
-    )
-
-    _single_stream_run(bundle32, streams, frames_per_stream)  # warmup
+    _single_stream_run(vid_bundle, streams, frames_per_stream)  # warmup
 
     # Telemetry overhead A/B/C: no tracer, an active tracer with every frame
     # sampled out (the cost of the null path), and full tracing into the ring
-    # buffer.  All three run the optimized bundle, so the only variable is the
+    # buffer.  All three run the same bundle, so the only variable is the
     # instrumentation.  The budgets are a few percent, while a shared host's
     # speed drifts by tens of percent over seconds: each round therefore runs
     # the three legs back to back over one snippet, in rotating order, and the
@@ -283,7 +274,7 @@ def test_single_stream_profile(vid_bundle):
         shift = round_index % len(order)
         for name in order[shift:] + order[:shift]:
             with legs[name]():
-                fps, snap = _single_stream_run(bundle32, snippet, len(snippet[0]))
+                fps, snap = _single_stream_run(vid_bundle, snippet, len(snippet[0]))
             leg_fps[name].append(fps)
             if name == "off":
                 off_snap = snap
@@ -297,21 +288,21 @@ def test_single_stream_profile(vid_bundle):
         for name in ("sampled_out", "traced")
     )
 
-    # Per-stage breakdown of one optimized pass (not part of the timing legs —
+    # Per-stage breakdown of one pass (not part of the timing legs —
     # the profiler's scope bookkeeping would bias them).
     profiler = StageProfiler()
     with profiler:
-        _single_stream_run(bundle32, streams, frames_per_stream)
+        _single_stream_run(vid_bundle, streams, frames_per_stream)
 
     table = format_table(
         ["Single-stream detector path", "FPS"],
-        [["optimized (float32)", format_float(telemetry_off_fps, 1)]],
+        [["shipped path (float64 PS-RoI integral)", format_float(telemetry_off_fps, 1)]],
         title=(
             f"Single-stream detector path — 1 stream, "
             f"{len(snippet[0])} frames, median of {telemetry_rounds} telemetry-off legs"
         ),
     )
-    table += "\n\n" + profiler.format("Per-stage time breakdown (optimized pass)")
+    table += "\n\n" + profiler.format("Per-stage time breakdown (one pass)")
     telemetry_rows = [
         ["telemetry off", format_float(telemetry_off_fps, 1), "1.00x"],
         [
@@ -351,7 +342,6 @@ def test_single_stream_profile(vid_bundle):
                 "completed": int(off_snap.completed),
                 "shed": int(off_snap.shed),
                 "optimized_fps": float(telemetry_off_fps),
-                "optimized_dtype": "float32",
                 "p50_ms": float(off_snap.latency.p50_ms),
                 "p95_ms": float(off_snap.latency.p95_ms),
                 "p99_ms": float(off_snap.latency.p99_ms),

@@ -135,12 +135,6 @@ class DetectorConfig(SerializableConfig):
     max_detections: int = 50
     #: λ in Eq. (1) — weight of the bounding-box regression loss
     bbox_loss_weight: float = 1.0
-    #: accumulation dtype of inference-time PS-RoI pooling.  "float64" (the
-    #: default) keeps batched detection bit-identical to per-frame detection —
-    #: the serving equivalence guarantee; "float32" halves the integral-image
-    #: memory traffic for deployments that accept matching the float64 path
-    #: within a small tolerance instead of bit for bit
-    inference_dtype: str = "float64"
 
     def with_(self, **kwargs: object) -> "DetectorConfig":
         """Return a copy with the given fields replaced."""
@@ -368,11 +362,6 @@ class ExperimentConfig(SerializableConfig):
             raise ValueError(
                 "detector.num_classes must match dataset.num_classes "
                 f"({self.detector.num_classes} != {self.dataset.num_classes})"
-            )
-        if self.detector.inference_dtype not in ("float32", "float64"):
-            raise ValueError(
-                "detector.inference_dtype must be 'float32' or 'float64', "
-                f"got {self.detector.inference_dtype!r}"
             )
         if not set(self.adascale.scales) <= set(self.adascale.regressor_scales):
             raise ValueError("adascale.scales must be a subset of regressor_scales")

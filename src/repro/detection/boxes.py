@@ -19,6 +19,7 @@ __all__ = [
     "valid_boxes",
     "scale_boxes",
     "box_centers",
+    "divide_or_zero",
 ]
 
 #: Standard deviations applied to the (dx, dy, dw, dh) regression targets —
@@ -64,21 +65,35 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     boxes_b = _as_boxes(boxes_b)
     if boxes_a.shape[0] == 0 or boxes_b.shape[0] == 0:
         return np.zeros((boxes_a.shape[0], boxes_b.shape[0]), dtype=np.float32)
-    # Every step writes into one of the four corner temporaries in place.
-    x1 = np.maximum(boxes_a[:, None, 0], boxes_b[None, :, 0])
-    y1 = np.maximum(boxes_a[:, None, 1], boxes_b[None, :, 1])
-    inter = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2])
-    height = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3])
+    # Contiguous coordinate rows broadcast faster than strided box columns;
+    # every later step writes into one of the four corner temporaries.
+    a, b = boxes_a.T.copy(), boxes_b.T.copy()
+    x1 = np.maximum(a[0, :, None], b[0])
+    y1 = np.maximum(a[1, :, None], b[1])
+    inter = np.minimum(a[2, :, None], b[2])
+    height = np.minimum(a[3, :, None], b[3])
     zero = np.float32(0)
     np.maximum(np.subtract(inter, x1, out=inter), zero, out=inter)
     np.maximum(np.subtract(height, y1, out=height), zero, out=height)
     np.multiply(inter, height, out=inter)
     union = np.add(box_areas(boxes_a)[:, None], box_areas(boxes_b)[None, :], out=x1)
     np.subtract(union, inter, out=union)
-    valid = np.greater(union, zero, out=np.empty(union.shape, dtype=bool))
-    iou = np.divide(inter, union, out=y1, where=valid)
-    iou[~valid] = zero
-    return iou
+    return divide_or_zero(inter, union, out=y1)
+
+
+def divide_or_zero(numerator: np.ndarray, denominator: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where the denominator is > 0, else 0, into ``out``.
+
+    The masked divide and the zero fill only run when some denominator is
+    not positive; a plain divide of the common all-positive case gives the
+    same bytes at a fraction of the cost.
+    """
+    valid = denominator > 0
+    if valid.all():
+        return np.divide(numerator, denominator, out=out)
+    np.divide(numerator, denominator, out=out, where=valid)
+    np.copyto(out, 0, where=~valid)
+    return out
 
 
 def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -116,11 +131,8 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Apply predicted (dx, dy, dw, dh) deltas to anchors (inverse of encode).
 
     Fully vectorised over the box dimension and assembled directly into one
-    preallocated output array: the proposal path decodes every anchor of every
-    image in a micro-batch in a single call, so per-call temporaries (the old
-    ``np.stack`` of four 1-D arrays plus its float32 re-cast) were a measurable
-    slice of the RPN profile.  The arithmetic is unchanged, element for
-    element, so decoded boxes are bit-identical to the previous implementation.
+    preallocated output array.  Every box is decoded independently, so
+    decoding a subset gives the same bytes as decoding all and indexing.
     """
     anchors = _as_boxes(anchors)
     deltas = np.asarray(deltas, dtype=np.float32)
@@ -158,9 +170,8 @@ def clip_boxes(boxes: np.ndarray, image_height: int, image_width: int) -> np.nda
 def clip_boxes_(boxes: np.ndarray, image_height: int, image_width: int) -> np.ndarray:
     """In-place :func:`clip_boxes` for freshly decoded, caller-owned arrays.
 
-    The proposal path clips every decoded box it just produced; clipping in
-    place saves one full (N, 4) copy per micro-batch.  Only call this on
-    arrays nobody else holds a reference to.
+    Clipping in place saves one (N, 4) copy.  Only call this on arrays
+    nobody else holds a reference to.
     """
     boxes = _as_boxes(boxes)
     if boxes.size == 0:

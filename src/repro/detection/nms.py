@@ -37,18 +37,17 @@ def nms(
     if limit == 0:
         return np.zeros((0,), dtype=np.int64)
 
-    order = np.argsort(-scores, kind="stable")
-    ious = iou_matrix(boxes, boxes)
+    order = np.argsort(-scores, kind="stable").tolist()
+    overlaps = iou_matrix(boxes, boxes) > iou_threshold
     keep: list[int] = []
     suppressed = np.zeros(boxes.shape[0], dtype=bool)
     for idx in order:
         if suppressed[idx]:
             continue
-        keep.append(int(idx))
+        keep.append(idx)
         if len(keep) == limit:
             break
-        suppressed |= ious[idx] > iou_threshold
-        suppressed[idx] = True
+        suppressed |= overlaps[idx]
     return np.asarray(keep, dtype=np.int64)
 
 
@@ -68,8 +67,10 @@ def batched_nms(
     if boxes.shape[0] == 0:
         return np.zeros((0,), dtype=np.int64)
 
-    # Offset boxes per class so a single NMS pass handles all classes at once.
-    max_coord = float(boxes.max()) + 1.0 if boxes.size else 1.0
-    offsets = class_ids.astype(np.float32) * max_coord
+    # Offset boxes per class by more than the coordinate range, so a single
+    # NMS pass handles all classes at once (the range starts at 0 at most, so
+    # non-negative boxes are offset by max + 1).
+    extent = float(boxes.max()) - min(float(boxes.min()), 0.0) + 1.0
+    offsets = class_ids.astype(np.float32) * extent
     shifted = boxes + offsets[:, None]
     return nms(shifted, scores, iou_threshold, max_keep)

@@ -23,10 +23,12 @@ pooling each image alone.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from repro.detection.boxes import divide_or_zero
 from repro.nn.layers import is_inference
 from repro.profiling import stage
 
@@ -47,37 +49,18 @@ class PSRoIPool:
     spatial_scale:
         Ratio between feature-map coordinates and image coordinates
         (``1 / feature_stride``).
-    integral_dtype:
-        Accumulation dtype of the forward pass's summed-area table.  The
-        default ``float64`` keeps bin sums exact enough that batched pooling
-        is bit-identical to per-image pooling (the equivalence guarantee the
-        serving stack relies on).  ``float32`` halves the integral image's
-        memory traffic — the profile-guided fast path for deployments that accept detections
-        matching the float64 path within a small tolerance instead of bit for
-        bit.  The backward pass always accumulates in float64; the dtype knob
-        is inference-only.
     """
 
-    def __init__(
-        self,
-        group_size: int,
-        output_dim: int,
-        spatial_scale: float,
-        integral_dtype: np.dtype | type = np.float64,
-    ) -> None:
+    def __init__(self, group_size: int, output_dim: int, spatial_scale: float) -> None:
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
         if output_dim < 1:
             raise ValueError(f"output_dim must be >= 1, got {output_dim}")
         if spatial_scale <= 0:
             raise ValueError(f"spatial_scale must be positive, got {spatial_scale}")
-        integral_dtype = np.dtype(integral_dtype)
-        if integral_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"integral_dtype must be float32 or float64, got {integral_dtype}")
         self.group_size = group_size
         self.output_dim = output_dim
         self.spatial_scale = spatial_scale
-        self.integral_dtype = integral_dtype
         self._cache: dict[str, np.ndarray] | None = None
 
     @property
@@ -237,12 +220,9 @@ def _pool_bins(
 
     Returns the (R, D, k, k) float32 means (``D`` = the pools' summed
     ``output_dim``; zeros for empty bins), the (R, k, k) bin edges and cell
-    counts.  One summed-area table ``I[b, c, y, x] = sum(maps[b, c, :y, :x])``
-    covers every channel; it is filled by cumulative sums in the integral
-    dtype straight into the table (no up-cast copy of the maps).  The sums run
-    along the spatial axes only, so each image's table is independent of its
-    batch neighbours (batched pooling == per-image pooling, bit for bit).
-    Every (RoI, channel, bin) sum is then one four-corner gather.
+    counts.  One summed-area table covers every channel (see
+    :func:`_summed_area_table`); every (RoI, channel, bin) sum is then one
+    four-corner gather.
     """
     first = pools[0]
     k = first.group_size
@@ -252,31 +232,64 @@ def _pool_bins(
     ys, ye, xs, xe = edges
     counts = np.maximum((ye - ys) * (xe - xs), 0).astype(np.float32)
 
-    integral = np.zeros((batch, channels, height + 1, width + 1), dtype=first.integral_dtype)
-    inner = integral[:, :, 1:, 1:]
-    np.cumsum(score_maps, axis=2, dtype=first.integral_dtype, out=inner)
-    np.cumsum(inner, axis=3, out=inner)
-
-    # Channel of (output j, bin b) in pool p: offset_p + b * dim_p + j.
-    offsets = np.cumsum([0] + [pool.expected_channels for pool in pools])
-    channel = np.concatenate(
-        [
-            start + np.arange(bins) * pool.output_dim + np.arange(pool.output_dim)[:, None]
-            for start, pool in zip(offsets, pools)
-        ]
-    )  # (D, k*k) and C-ordered, so every RoI's k*k bins stay contiguous
-    # for the vote's mean (a strided layout would reduce in another order).
-    plane = (height + 1) * (width + 1)
-    base = (batch_indices * channels)[:, None, None] * plane + channel * plane
-    flat = integral.reshape(-1)
+    flat = _summed_area_table(score_maps).reshape(-1)
+    channel = _channel_plan(k, tuple(pool.output_dim for pool in pools))
+    # Table cell (y, x, b, c) sits at ((y * (W + 1) + x) * B + b) * C + c.
+    base = (batch_indices * channels)[:, None, None] + channel
+    cell = batch * channels
 
     def corner(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return flat[base + (y * (width + 1) + x).reshape(-1, 1, bins)]
+        return flat[base + ((y * (width + 1) + x) * cell).reshape(-1, 1, bins)]
 
     sums = corner(ye, xe) - corner(ys, xe) - corner(ye, xs) + corner(ys, xs)
     cells = counts.reshape(-1, 1, bins)
-    means = np.divide(sums, cells, out=np.zeros_like(sums), where=cells > 0)
+    means = divide_or_zero(sums, cells, out=sums)
     return means.astype(np.float32).reshape(rois.shape[0], len(channel), k, k), edges, counts
+
+
+def _summed_area_table(score_maps: np.ndarray) -> np.ndarray:
+    """``I[y, x, b, c] = sum(maps[b, c, :y, :x])`` in float64, shape (H+1, W+1, B, C).
+
+    The same additions in the same order as ``np.cumsum(np.cumsum(maps,
+    axis=2, dtype=np.float64), axis=3)``, so the same bytes: each row slab
+    adds the row above it, then each column slab the column left of it.  With
+    the spatial axes outermost a slab is one contiguous block (a row) or
+    ``H`` blocks of ``B * C`` (a column), so the ``H + W`` slab adds stream
+    through memory instead of accumulating along a strided axis.  The sums
+    run along the spatial axes only, so each image's table is independent of
+    its batch neighbours (batched pooling == per-image pooling, bit for bit).
+    """
+    batch, channels, height, width = score_maps.shape
+    table = np.empty((height + 1, width + 1, batch, channels), dtype=np.float64)
+    table[0] = 0.0
+    table[1:, 0] = 0.0
+    inner = table[1:, 1:]
+    inner[...] = score_maps.transpose(2, 3, 0, 1)
+    for y in range(1, height):
+        np.add(inner[y - 1], inner[y], out=inner[y])
+    for x in range(1, width):
+        np.add(inner[:, x - 1], inner[:, x], out=inner[:, x])
+    return table
+
+
+@lru_cache(maxsize=16)
+def _channel_plan(group_size: int, output_dims: tuple[int, ...]) -> np.ndarray:
+    """The (D, k*k) channel of (output j, bin b) in pool p: ``offset_p + b * dim_p + j``.
+
+    C-ordered, so every RoI's k*k bins stay contiguous for the vote's mean (a
+    strided layout would reduce in another order).  Read-only: it is shared
+    by every caller with the same pool layout.
+    """
+    bins = group_size * group_size
+    offsets = np.cumsum((0,) + tuple(bins * dim for dim in output_dims))
+    plan = np.concatenate(
+        [
+            start + np.arange(bins) * dim + np.arange(dim)[:, None]
+            for start, dim in zip(offsets, output_dims)
+        ]
+    )
+    plan.setflags(write=False)
+    return plan
 
 
 def psroi_votes(
@@ -288,9 +301,9 @@ def psroi_votes(
     """Inference: pool every pool's channel range of ``score_maps`` in one pass.
 
     ``score_maps`` stacks the pools' position-sensitive maps along the
-    channel axis, in ``pools`` order; the pools must share group size,
-    spatial scale and integral dtype.  Returns each pool's (R, output_dim)
-    vote: the mean over its k x k bins (R-FCN's average voting).
+    channel axis, in ``pools`` order; the pools must share group size and
+    spatial scale.  Returns each pool's (R, output_dim) vote: the mean over
+    its k x k bins (R-FCN's average voting).
     """
     if score_maps.shape[1] != sum(pool.expected_channels for pool in pools):
         raise ValueError(f"score_maps have {score_maps.shape[1]} channels, expected the pools' sum")

@@ -183,9 +183,8 @@ class RFCNDetector(Module):
             self.feature_channels, k * k * 4, 1, rng=rng, name="head.bbox_ps"
         )
         spatial_scale = 1.0 / self.config.feature_stride
-        integral_dtype = np.dtype(self.config.inference_dtype)
-        self.cls_pool = PSRoIPool(k, num_cls_out, spatial_scale, integral_dtype=integral_dtype)
-        self.bbox_pool = PSRoIPool(k, 4, spatial_scale, integral_dtype=integral_dtype)
+        self.cls_pool = PSRoIPool(k, num_cls_out, spatial_scale)
+        self.bbox_pool = PSRoIPool(k, 4, spatial_scale)
         self._head_cache: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -201,15 +200,17 @@ class RFCNDetector(Module):
         features: np.ndarray,
         rois: np.ndarray,
         batch_indices: np.ndarray | None = None,
+        cols: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Position-sensitive head: per-RoI class logits and box deltas.
 
         ``features`` may stack several images; ``batch_indices`` then selects,
         per RoI, the image it pools from (defaults to zeros for B == 1).
+        ``cols`` may hand over ``self.neck_conv.unfold(features)`` at inference.
         """
         with stage("detect/head"):
             rois = np.asarray(rois, dtype=np.float32).reshape(-1, 4)
-            neck = self.neck_relu(self.neck_conv(features))
+            neck = self.neck_relu(self.neck_conv(features, cols=cols))
             if is_inference():
                 # Both position-sensitive GEMMs write their own channel range
                 # of one buffer, which one PS-RoI pass pools and votes on.
@@ -271,9 +272,9 @@ class RFCNDetector(Module):
         """A replica with identical weights but a different runtime config.
 
         Used to re-home trained weights under inference-time settings the
-        architecture does not depend on (e.g. ``inference_dtype``, score or
-        NMS thresholds).  Architecture-defining fields must match or the
-        weight shapes will not load.
+        architecture does not depend on (e.g. score or NMS thresholds).
+        Architecture-defining fields must match or the weight shapes will not
+        load.
         """
         replica = RFCNDetector(config, seed=0)
         replica.load_state_dict(self.state_dict())
@@ -412,6 +413,8 @@ class RFCNDetector(Module):
         The RPN and head convolutions run once for the whole stack; RoIs from
         every image are pooled in one pass through a batch-index column; the
         score threshold + per-class NMS fan out per image at the very end.
+        ``rpn.conv`` and ``neck_conv`` are both 3x3 / stride 1 / padding 1
+        convs of ``features``, so one unfold is handed to both.
         """
         start = time.perf_counter()
         batch = int(features.shape[0])
@@ -422,7 +425,8 @@ class RFCNDetector(Module):
         threshold = self.config.score_threshold if score_threshold is None else score_threshold
 
         with inference_mode():
-            rpn_outs = self.rpn.forward_batch(features)
+            cols = self.rpn.conv.unfold(features)
+            rpn_outs = self.rpn.forward_batch(features, cols)
             proposals_per_image = [
                 proposals
                 for proposals, _ in self.rpn.generate_proposals_batch(
@@ -438,7 +442,7 @@ class RFCNDetector(Module):
                 batch_indices = np.concatenate(
                     [np.full(counts[i], i, dtype=np.int64) for i in populated]
                 )
-                roi_logits, roi_deltas = self.head_forward(features, rois, batch_indices)
+                roi_logits, roi_deltas = self.head_forward(features, rois, batch_indices, cols)
                 probs = softmax(roi_logits, axis=1)
                 refined = decode_boxes(rois, roi_deltas)
 

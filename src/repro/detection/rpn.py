@@ -15,11 +15,10 @@ from repro.config import DetectorConfig
 from repro.detection.anchors import generate_anchors
 from repro.detection.boxes import clip_boxes_, decode_boxes, valid_boxes
 from repro.detection.nms import nms
-from repro.nn.functional import softmax
 from repro.nn.layers import Conv2d, Module, ReLU, is_inference
 from repro.profiling import stage
 
-__all__ = ["RPNHead", "RPNOutput"]
+__all__ = ["RPNHead", "RPNOutput", "foreground_scores"]
 
 
 @dataclass
@@ -65,16 +64,19 @@ class RPNHead(Module):
             )
         return self.forward_batch(features)[0]
 
-    def forward_batch(self, features: np.ndarray) -> list[RPNOutput]:
+    def forward_batch(
+        self, features: np.ndarray, cols: np.ndarray | None = None
+    ) -> list[RPNOutput]:
         """Per-anchor predictions for an (N, C, H, W) stack, one output per image.
 
         The three convolutions run once over the whole stack; the per-image
         outputs are bit-identical to running each image alone (the conv layers
         are batch-invariant in inference mode).  Anchors depend only on the
         shared feature shape, so every output aliases one anchor array.
+        ``cols`` may hand over ``self.conv.unfold(features)`` at inference.
         """
         with stage("detect/rpn"):
-            hidden = self.relu(self.conv(features))
+            hidden = self.relu(self.conv(features, cols=cols))
             cls_map = self.cls_conv(hidden)
             reg_map = self.reg_conv(hidden)
             batch, _, height, width = cls_map.shape
@@ -160,49 +162,76 @@ class RPNHead(Module):
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Proposals for every image of a batch, one ``(boxes, scores)`` each.
 
-        The anchor-wise arithmetic (objectness softmax, delta decoding) is
-        elementwise per anchor, so it runs once over the stacked batch; only
-        the score sort and greedy NMS remain per image.  Per-image results are
-        bit-identical to :meth:`generate_proposals`.
+        Images are independent, so their feature shapes may differ; each
+        result is bit-identical to :meth:`generate_proposals` on that image.
         """
         config = self.config
         pre_nms = pre_nms_top_n if pre_nms_top_n is not None else config.rpn_pre_nms_top_n
         post_nms = post_nms_top_n if post_nms_top_n is not None else config.rpn_post_nms_top_n
-        num_anchors = outputs[0].anchors.shape[0] if outputs else 0
-        # The concatenated arrays are sliced in equal anchor-count spans, so a
-        # mixed-shape batch would silently read the wrong image's rows.
-        for output in outputs:
-            if output.anchors.shape[0] != num_anchors:
-                raise ValueError(
-                    "generate_proposals_batch requires outputs from one feature "
-                    f"shape; got {output.anchors.shape[0]} anchors vs {num_anchors}"
-                )
-
+        if len(outputs) != len(image_shapes):
+            raise ValueError(f"{len(outputs)} RPN outputs but {len(image_shapes)} image shapes")
         with stage("detect/proposals"):
-            all_scores = softmax(
-                np.concatenate([output.objectness for output in outputs], axis=0), axis=1
-            )[:, 1]
-            all_boxes = decode_boxes(
-                np.concatenate([output.anchors for output in outputs], axis=0),
-                np.concatenate([output.deltas for output in outputs], axis=0),
-            )
+            return [
+                self._proposals(output, height, width, pre_nms, post_nms)
+                for output, (height, width) in zip(outputs, image_shapes)
+            ]
 
-            results: list[tuple[np.ndarray, np.ndarray]] = []
-            for index, (height, width) in enumerate(image_shapes):
-                span = slice(index * num_anchors, (index + 1) * num_anchors)
-                # all_boxes is freshly decoded and locally owned; clipping the
-                # disjoint per-image spans in place avoids one (A, 4) copy each.
-                boxes = clip_boxes_(all_boxes[span], height, width)
-                scores = all_scores[span]
-                keep = valid_boxes(boxes, min_size=config.rpn_min_size)
-                boxes, scores = boxes[keep], scores[keep]
-                if boxes.shape[0] == 0:
-                    results.append(
-                        (np.zeros((0, 4), dtype=np.float32), np.zeros((0,), dtype=np.float32))
-                    )
-                    continue
-                order = np.argsort(-scores, kind="stable")[:pre_nms]
-                boxes, scores = boxes[order], scores[order]
-                keep_nms = nms(boxes, scores, config.rpn_nms_threshold, max_keep=post_nms)
-                results.append((boxes[keep_nms], scores[keep_nms]))
-            return results
+    def _proposals(
+        self, output: RPNOutput, height: int, width: int, pre_nms: int, post_nms: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode, clip and filter the best anchors, then greedy NMS.
+
+        The result equals decoding, clipping and size-filtering *every*
+        anchor and keeping the ``pre_nms`` best valid ones in stable score
+        order (ties keep the lower anchor index).  Only the stable top
+        ``take`` anchors are decoded, and ``take`` doubles until ``pre_nms``
+        of them are valid or every anchor is taken: box validity does not
+        depend on the score, so the valid anchors among the top ``take`` are
+        exactly the first valid anchors of the full order.
+        """
+        scores = foreground_scores(output.objectness)
+        ranking = -scores
+
+        take = pre_nms
+        while True:
+            order = _stable_top_k(ranking, take)
+            boxes = clip_boxes_(
+                decode_boxes(output.anchors[order], output.deltas[order]), height, width
+            )
+            valid = valid_boxes(boxes, min_size=self.config.rpn_min_size)
+            if take >= ranking.shape[0] or np.count_nonzero(valid) >= pre_nms:
+                break
+            take *= 2
+        order, boxes = order[valid][:pre_nms], boxes[valid][:pre_nms]
+        scores = scores[order]
+        keep = nms(boxes, scores, self.config.rpn_nms_threshold, max_keep=post_nms)
+        return boxes[keep], scores[keep]
+
+
+def foreground_scores(logits: np.ndarray) -> np.ndarray:
+    """``softmax(logits, axis=1)[:, 1]`` of (N, 2) logits, byte for byte.
+
+    The same float32 operations on the two columns, without the keepdims
+    reductions of a general softmax.
+    """
+    peak = np.maximum(logits[:, 0], logits[:, 1])
+    background = np.exp(logits[:, 0] - peak)
+    foreground = np.exp(logits[:, 1] - peak)
+    return foreground / (background + foreground)
+
+
+def _stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]`` without sorting past the k-th key.
+
+    Every key strictly below the k-th smallest is in the result, and keys
+    equal to it fill the rest lowest index first, so a stable sort of the
+    candidates at or below the cut (taken in index order) is the full sort's
+    prefix, ties included.
+    """
+    if k >= keys.shape[0]:
+        return np.argsort(keys, kind="stable")
+    cut = np.partition(keys, k - 1)[k - 1]
+    if np.isnan(cut):  # NaNs sort last; the cut cannot separate them
+        return np.argsort(keys, kind="stable")[:k]
+    candidates = np.flatnonzero(keys <= cut)
+    return candidates[np.argsort(keys[candidates], kind="stable")[:k]]

@@ -5,7 +5,7 @@ column so a convolution becomes a single matrix multiplication — the standard
 trick for fast CPU convolutions without hand-written C loops.  ``col2im`` is
 its adjoint and is used by the convolution backward pass.
 
-The unfold is a ``sliding_window_view`` (pure stride arithmetic) plus one
+The unfold is a window view built from the padded input's strides plus one
 contiguous copy, written into a thread-local scratch buffer when the caller
 allows it (:func:`repro.nn.runtime.scratch`).  ``col2im`` scatter-adds through
 the (channel, row, col) index plans of :func:`im2col_indices`; those depend
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn import runtime
 
@@ -99,12 +99,12 @@ def _pad_input(x: np.ndarray, padding: int, reuse_buffer: bool) -> np.ndarray:
     if padding <= 0:
         return x
     pad = padding
-    if not reuse_buffer:
-        return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
     batch, channels, height, width = x.shape
-    padded = runtime.scratch(
-        "im2col.pad", (batch, channels, height + 2 * pad, width + 2 * pad), x.dtype
-    )
+    shape = (batch, channels, height + 2 * pad, width + 2 * pad)
+    if reuse_buffer:
+        padded = runtime.scratch("im2col.pad", shape, x.dtype)
+    else:
+        padded = np.empty(shape, dtype=x.dtype)
     # Zero only the border frame; the interior is fully overwritten by x.
     padded[:, :, :pad, :] = 0.0
     padded[:, :, height + pad :, :] = 0.0
@@ -139,19 +139,22 @@ def im2col(
     x_padded = _pad_input(x, padding, reuse_buffer)
     out_height = conv_output_size(height, field_height, padding, stride)
     out_width = conv_output_size(width, field_width, padding, stride)
-    # (N, C, OH, OW, fh, fw) strided view — no data movement yet.
-    windows = sliding_window_view(x_padded, (field_height, field_width), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    # Arrange to (C, fh, fw, N, OH, OW); the reshape (or the copy into
+    # The (C, fh, fw, N, OH, OW) windows, viewed straight through the padded
+    # input's strides — no data movement yet.  The reshape (or the copy into
     # scratch) performs the single contiguous copy.
-    arranged = windows.transpose(1, 4, 5, 0, 2, 3)
+    step_n, step_c, step_h, step_w = x_padded.strides
+    windows = as_strided(
+        x_padded,
+        shape=(channels, field_height, field_width, batch, out_height, out_width),
+        strides=(step_c, step_h, step_w, step_n, step_h * stride, step_w * stride),
+        writeable=False,
+    )
     shape = (channels * field_height * field_width, batch * out_height * out_width)
     if reuse_buffer:
         cols = runtime.scratch("im2col.cols", shape, x.dtype)
-        np.copyto(cols.reshape(arranged.shape), arranged)
+        np.copyto(cols.reshape(windows.shape), windows)
         return cols
-    return np.ascontiguousarray(arranged.reshape(shape))
+    return np.ascontiguousarray(windows.reshape(shape))
 
 
 def col2im(

@@ -253,16 +253,24 @@ class Conv2d(Module):
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
         self._stage_name = f"nn/{name}"
 
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Convolve ``x``; in inference mode ``out`` may name the (N, O, H', W')
+    def forward(
+        self, x: np.ndarray, out: np.ndarray | None = None, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Convolve ``x``.  In inference mode ``out`` may name the (N, O, H', W')
         destination, e.g. a channel range of a larger buffer (each sample's
-        slab must be contiguous)."""
+        slab must be contiguous), and ``cols`` may hand over ``x``'s unfold
+        (:meth:`unfold` of any conv with this one's geometry), so convs that
+        read the same input unfold it once."""
         with stage(self._stage_name):
             if is_inference():
-                return self._infer(np.asarray(x, dtype=np.float32), out)
+                return self._infer(np.asarray(x, dtype=np.float32), out, cols)
             return self._forward(x)
 
-    def _infer(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """The im2col columns of ``x`` this conv multiplies, in a fresh array."""
+        return im2col(x, self.kernel_size, self.kernel_size, self.padding, self.stride)
+
+    def _infer(self, x: np.ndarray, out: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
         batch, _, height, width = x.shape
         out_h, out_w = self.output_shape(height, width)
         if out is None:
@@ -270,10 +278,12 @@ class Conv2d(Module):
         if self.kernel_size == 1 and self.stride == 1 and self.padding == 0:
             samples = x.reshape(batch, self.in_channels, height * width)
         else:
-            # The unfold lives in thread-local scratch: it is consumed here.
-            cols = im2col(
-                x, self.kernel_size, self.kernel_size, self.padding, self.stride, reuse_buffer=True
-            )
+            if cols is None:
+                # The unfold lives in thread-local scratch: it is consumed here.
+                k = self.kernel_size
+                cols = im2col(x, k, k, self.padding, self.stride, reuse_buffer=True)
+            elif cols.shape != (self.weight.data[0].size, batch * out_h * out_w):
+                raise ValueError(f"{self._stage_name} got columns {cols.shape}, not x's unfold")
             samples = cols.reshape(cols.shape[0], batch, -1).transpose(1, 0, 2)
         # A stacked matmul runs one GEMM per sample (same m/k/n as batch 1).
         np.matmul(

@@ -46,7 +46,7 @@ ALL_CONFIG_CLASSES = [
 #: ints, floats, strings, bools, int/float tuples, None-able fields, nesting.
 MODIFIED_INSTANCES = [
     DatasetConfig(num_classes=5, clutter=0.9, name="alt", seed=11),
-    DetectorConfig(backbone_channels=(4, 8), anchor_ratios=(0.4, 1.1), inference_dtype="float32"),
+    DetectorConfig(backbone_channels=(4, 8), anchor_ratios=(0.4, 1.1), rpn_min_size=3.0),
     TrainingConfig(train_scales=(100, 50), optimizer="sgd", learning_rate=1e-4, lr_decay_at=()),
     RegressorConfig(kernel_sizes=(1, 3, 5), stream_channels=4, weight_decay=0.0),
     AdaScaleConfig(scales=(100, 50), regressor_scales=(100, 50, 25), quantize_predicted_scale=True),
@@ -159,6 +159,20 @@ class TestStrictness:
             path = tmp_path / "exp.toml"
             path.write_text("[serving]\nbatched_execution = false\n")
             with pytest.raises(ValueError, match="'batched_execution'"):
+                ExperimentConfig.load(path)
+
+    def test_removed_inference_dtype_key_is_refused(self, tmp_path):
+        """The detector has one PS-RoI integral dtype; the old knob is unknown."""
+        with pytest.raises(ValueError, match="unknown DetectorConfig key.*'inference_dtype'"):
+            DetectorConfig.from_dict({"inference_dtype": "float32"})
+        with pytest.raises(ValueError, match="'inference_dtype'"):
+            ExperimentConfig.from_dict({"detector": {"inference_dtype": "float64"}})
+        with pytest.raises(ValueError, match="inference_dtype"):
+            api.load_experiment_config("tiny", overrides=["detector.inference_dtype=float32"])
+        if toml_supported():
+            path = tmp_path / "exp.toml"
+            path.write_text('[detector]\ninference_dtype = "float32"\n')
+            with pytest.raises(ValueError, match="'inference_dtype'"):
                 ExperimentConfig.load(path)
 
     def test_unknown_nested_key_rejected(self):

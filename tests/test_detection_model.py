@@ -416,47 +416,3 @@ class TestRFCNDetector:
         if len(a):
             np.testing.assert_allclose(a.boxes, b.boxes, rtol=1e-5)
 
-
-class TestInferenceDtype:
-    """The configurable PS-RoI integral dtype (float64 default, float32 fast path)."""
-
-    def test_default_is_float64(self):
-        detector = RFCNDetector(DetectorConfig(), seed=0)
-        assert detector.cls_pool.integral_dtype == np.dtype(np.float64)
-        assert detector.bbox_pool.integral_dtype == np.dtype(np.float64)
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises((ValueError, TypeError)):
-            RFCNDetector(DetectorConfig(inference_dtype="float16"), seed=0)
-        with pytest.raises(ValueError):
-            PSRoIPool(3, 4, 0.125, integral_dtype=np.int32)
-
-    def test_float32_detection_matches_float64_within_tolerance(self):
-        config = DetectorConfig()
-        detector64 = RFCNDetector(config, seed=3)
-        detector32 = detector64.with_config(config.with_(inference_dtype="float32"))
-        rng = np.random.default_rng(11)
-        image = rng.random((96, 120, 3)).astype(np.float32)
-
-        result64 = detector64.detect(image, target_scale=96, max_long_side=426)
-        result32 = detector32.detect(image, target_scale=96, max_long_side=426)
-
-        # Same detections (the dtype only perturbs pooled bin sums slightly)...
-        assert len(result32) == len(result64)
-        np.testing.assert_array_equal(result32.class_ids, result64.class_ids)
-        np.testing.assert_allclose(result32.boxes, result64.boxes, rtol=1e-3, atol=1e-2)
-        np.testing.assert_allclose(result32.scores, result64.scores, rtol=1e-3, atol=1e-4)
-        # ...but not (necessarily) bit-identical: float32 is the speed knob,
-        # float64 stays the equivalence default.
-        assert result64.features.dtype == np.float32
-
-    def test_psroi_float32_close_to_float64(self):
-        rng = np.random.default_rng(5)
-        maps = rng.normal(size=(1, 2 * 2 * 3, 12, 14)).astype(np.float32)
-        rois = np.array([[4.0, 8.0, 60.0, 70.0], [0.0, 0.0, 30.0, 30.0]], dtype=np.float32)
-        pool64 = PSRoIPool(2, 3, 0.125)
-        pool32 = PSRoIPool(2, 3, 0.125, integral_dtype=np.float32)
-        out64 = pool64.forward(maps, rois)
-        out32 = pool32.forward(maps, rois)
-        assert out32.dtype == out64.dtype == np.float32
-        np.testing.assert_allclose(out32, out64, rtol=1e-4, atol=1e-4)
