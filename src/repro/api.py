@@ -504,8 +504,9 @@ class Cluster:
     """Declarative wrapper around the sharded serving cluster (``repro.cluster``).
 
     Composes the experiment config (bundle, serving and AdaScale parameters)
-    with a :class:`~repro.cluster.ClusterConfig` (shards, router, governor,
-    autoscaler) and runs trace-driven scenarios::
+    with its :class:`~repro.config.ClusterConfig` section (shards, router,
+    governor, autoscaler, process pool, fault) and runs trace-driven
+    scenarios::
 
         cluster = api.Cluster.from_config("tiny", cluster={"num_shards": 4})
         report = cluster.run_scenario("flash_crowd")
@@ -540,20 +541,14 @@ class Cluster:
         #: saved-bundle directory (when known) — process-mode replicas load
         #: straight from it instead of re-saving to a temporary directory
         self._bundle_dir: str | None = None
-        self.cluster = cluster if cluster is not None else ClusterConfig()
         config = (
             bundle.config
             if bundle is not None
-            else (pipeline.config if pipeline is not None else None)
+            else (pipeline.config if pipeline is not None else ExperimentConfig())
         )
-        if config is not None:
-            self.serving = serving if serving is not None else config.serving
-            self.adascale = adascale if adascale is not None else config.adascale
-        else:
-            from repro.config import AdaScaleConfig
-
-            self.serving = serving if serving is not None else ServingConfig()
-            self.adascale = adascale if adascale is not None else AdaScaleConfig()
+        self.cluster = cluster if cluster is not None else config.cluster
+        self.serving = serving if serving is not None else config.serving
+        self.adascale = adascale if adascale is not None else config.adascale
         self._service_model = service_model
 
     @property
@@ -578,20 +573,24 @@ class Cluster:
     ) -> "Cluster":
         """Resolve configs, train (or load) the bundle, optionally calibrate.
 
-        ``cluster`` may be a :class:`ClusterConfig` or a nested plain dict;
-        it is validated first, so a bad mode or bound fails before anything
-        loads.  With ``calibrate=False`` the simulate mode falls back to the
-        analytic area-proportional service model instead of timing the real detector —
-        and training is deferred, so a pure virtual-time run never trains at
-        all (process-mode runs still train on first use).
+        The deployment is the resolved experiment's ``cluster`` section
+        (preset < ``config_file`` < ``overrides``, so ``overrides=
+        ["cluster.num_shards=4"]`` works).  An explicit ``cluster`` — a
+        :class:`ClusterConfig` or a nested plain dict over the
+        :class:`ClusterConfig` defaults — replaces that section instead.
+        Either is validated before anything loads.  With ``calibrate=False``
+        the simulate mode falls back to the analytic area-proportional service
+        model instead of timing the real detector — and training is deferred,
+        so a pure virtual-time run never trains at all (process-mode runs
+        still train on first use).
         """
         if isinstance(cluster, Mapping):
             cluster = ClusterConfig.from_dict(cluster)
-        if cluster is not None:
-            cluster.validate()
         pipeline = Pipeline.from_config(
             config, seed=seed, config_file=config_file, overrides=overrides, dataset=dataset
         )
+        cluster = cluster if cluster is not None else pipeline.config.cluster
+        cluster.validate()
         if bundle_dir is not None:
             pipeline = Pipeline.from_bundle(bundle_dir, pipeline.config, pipeline.dataset_cls)
         instance = cls(

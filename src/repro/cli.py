@@ -45,11 +45,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from repro import api
-from repro.config import ExperimentConfig
-from repro.configio import dumps_toml, loads_toml, toml_supported
+from repro.config import ExperimentConfig, TelemetryConfig
+from repro.configio import apply_overrides, dumps_toml, loads_toml, toml_supported
 from repro.core.pipeline import METHODS
 from repro.evaluation import format_table
 from repro.registries import (
@@ -61,11 +63,137 @@ from repro.registries import (
 )
 from repro.utils.logging import get_logger
 
-__all__ = ["main", "build_parser"]
+__all__ = ["ALIASES", "Alias", "main", "build_parser"]
 
 _LOGGER = get_logger(__name__)
 
 _DEFAULT_METHODS = ["SS/SS", "MS/SS", "MS/AdaScale"]
+
+
+# -- flags as second spellings of config fields ------------------------------
+@dataclass(frozen=True)
+class Alias:
+    """A command flag that is a second spelling of config fields.
+
+    ``to`` is the dotted path the flag's value lands on, or a transform
+    ``(value, config) -> {dotted path: value}``, where ``config`` is the
+    config resolved so far (the flags before this one in the table
+    included).  ``options`` are the flag's ``argparse`` keywords.
+    """
+
+    flag: str
+    to: str | Callable[[Any, ExperimentConfig], Mapping[str, Any]]
+    help: str
+    options: Mapping[str, Any]
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    def overrides(self, value: Any, config: ExperimentConfig) -> Mapping[str, Any]:
+        """The dotted-path overrides this flag stands for, given its value."""
+        return {self.to: value} if isinstance(self.to, str) else self.to(value, config)
+
+
+class _Given(argparse.Action):
+    """Store a flag's value and record that it was given on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = (*getattr(namespace, "given", ()), self.dest)
+
+
+def _fault(spec: str, config: ExperimentConfig) -> dict[str, Any]:
+    from repro.cluster.faults import parse_fault_spec
+
+    return {"cluster.fault": parse_fault_spec(spec)}
+
+
+def _autoscale(_: bool, config: ExperimentConfig) -> dict[str, Any]:
+    # Headroom to grow: four times the starting fleet, never fewer than 8.
+    max_shards = max(4 * config.cluster.num_shards, 8)
+    return {"cluster.autoscaler.enabled": True, "cluster.autoscaler.max_shards": max_shards}
+
+
+_SWITCH = {"nargs": 0, "const": True, "default": False}
+_INT, _FLOAT = {"type": int}, {"type": float}
+
+TELEMETRY_ALIASES = (
+    Alias(
+        "--telemetry", "telemetry.enabled",
+        "trace the run: admission/queue/service spans, completions, control decisions", _SWITCH,
+    ),
+    Alias(
+        "--telemetry-sample", "telemetry.sample_rate",
+        "fraction of frames to trace, deterministic per admission (default: 1.0)",
+        {"type": float, "default": 1.0, "metavar": "RATE"},
+    ),
+    Alias(
+        "--span-log", lambda path, _: {"telemetry.enabled": True, "telemetry.jsonl_path": path},
+        "write every captured event as JSONL here (implies --telemetry) "
+        "[--set telemetry.jsonl_path]", {},
+    ),
+    Alias(
+        "--export-trace", lambda _path, _: {"telemetry.enabled": True},
+        "write a Chrome trace-event JSON of the run here (implies --telemetry)",
+        {"type": Path},
+    ),
+)
+SERVE_ALIASES = (
+    Alias("--workers", "serving.num_workers", "worker threads", _INT),
+    Alias("--batch-size", "serving.max_batch_size", "max micro-batch size", _INT),
+    Alias("--queue", "serving.queue_capacity", "scheduler queue capacity", _INT),
+    Alias(
+        "--policy", "serving.backpressure", "backpressure policy when the queue is full",
+        {"choices": SCHEDULER_POLICIES.names()},
+    ),
+    Alias("--deadline-ms", "serving.deadline_ms", "shed queued frames older than this", _FLOAT),
+    Alias(
+        "--key-frame-interval", "serving.key_frame_interval",
+        "Deep-Feature-Flow key-frame interval (1 = full detection every frame)", _INT,
+    ),
+    Alias("--seqnms", "serving.use_seqnms", "Seq-NMS rescoring per stream at finalize", _SWITCH),
+    Alias(
+        "--quantize-scales", "adascale.quantize_predicted_scale",
+        "snap predicted scales to the regressor scale set (shared batch buckets)", _SWITCH,
+    ),
+    *TELEMETRY_ALIASES,
+)
+CLUSTER_ALIASES = (
+    Alias("--shards", "cluster.num_shards", "number of replica shards", _INT),
+    Alias(
+        "--mode", "cluster.mode",
+        "simulate: calibrated virtual-time engine (deterministic); process: one "
+        "spawned OS process per shard (framed pipes, crash supervision, migration)",
+        {"choices": ("simulate", "process")},
+    ),
+    Alias(
+        "--router", "cluster.router.policy", "stream placement policy",
+        {"choices": ROUTING_POLICIES.names()},
+    ),
+    Alias(
+        "--target-p95-ms", "cluster.governor.target_p95_ms",
+        "the ScaleGovernor's rolling-p95 SLO target", _FLOAT,
+    ),
+    Alias(
+        "--no-governor", lambda *_: {"cluster.governor.enabled": False},
+        "disable the SLO feedback loop [--set cluster.governor.enabled=false]", _SWITCH,
+    ),
+    Alias(
+        "--autoscale", _autoscale,
+        "enable the occupancy autoscaler [--set cluster.autoscaler.enabled=true, "
+        "cluster.autoscaler.max_shards=max(4*shards, 8)]", _SWITCH,
+    ),
+    Alias(
+        "--inject-fault", _fault,
+        "schedule a process-mode fault, e.g. kill-replica:shard=0,at=2.0 (SIGKILL shard "
+        "0's worker 2 s into the run) [--set cluster.fault.kind/shard_id/at_s]",
+        {"metavar": "SPEC"},
+    ),
+    *TELEMETRY_ALIASES,
+)
+#: command -> its alias flags, applied after ``--set`` in this order
+ALIASES: dict[str, tuple[Alias, ...]] = {"serve": SERVE_ALIASES, "cluster": CLUSTER_ALIASES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,427 +202,166 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="AdaScale (MLSys 2019) reproduction — training, evaluation and serving CLI",
     )
+    presets = EXPERIMENT_PRESETS.names()
     parser.add_argument("--seed", type=int, default=None, help="experiment seed override")
     parser.add_argument(
-        "--preset",
-        choices=EXPERIMENT_PRESETS.names(),
-        default="tiny",
+        "--preset", choices=presets, default="tiny",
         help="experiment preset: tiny (seconds), vid (SyntheticVID benchmark), ytbb (MiniYTBB)",
     )
     # The same flags are accepted after the subcommand (`repro serve --preset
     # tiny`); SUPPRESS keeps the subparser from clobbering a value given
     # before the subcommand.
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="experiment seed override")
+    common.add_argument("--preset", choices=presets, help="experiment preset")
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="experiment seed override"
+        "--config", type=Path, help="a .json/.toml config file overlaid on the preset"
     )
     common.add_argument(
-        "--preset",
-        choices=EXPERIMENT_PRESETS.names(),
-        default=argparse.SUPPRESS,
-        help="experiment preset",
-    )
-    common.add_argument(
-        "--config",
-        type=Path,
-        default=argparse.SUPPRESS,
-        help="a .json/.toml config file overlaid on the preset",
-    )
-    common.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        metavar="SECTION.FIELD=VALUE",
-        default=argparse.SUPPRESS,
+        "--set", dest="overrides", action="append", metavar="SECTION.FIELD=VALUE",
         help="dotted-path config override (repeatable); wins over preset and --config",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser(
-        "run",
-        help="resolve a config, run the full pipeline, and print the method comparison",
-        parents=[common],
-    )
-    run.add_argument(
-        "--bundle", type=Path, default=None, help="load a saved bundle instead of training"
-    )
-    run.add_argument(
-        "--output", type=Path, default=None, help="also save the trained bundle here"
-    )
-    run.add_argument(
-        "--methods",
-        nargs="+",
-        default=_DEFAULT_METHODS,
-        choices=list(METHODS) + ["MS/Oracle"],
-        help="methods to evaluate",
-    )
+    def command(name: str, help: str, experiment: bool = True) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, help=help, parents=[common] if experiment else [])
 
-    train = subparsers.add_parser(
-        "train", help="run the full pipeline and save the bundle", parents=[common]
-    )
-    train.add_argument("--output", type=Path, required=True, help="directory for the saved bundle")
+    bundle_help = "directory of a bundle saved by `train` (optional)"
+    methods = {"nargs": "+", "default": _DEFAULT_METHODS, "choices": [*METHODS, "MS/Oracle"]}
 
-    evaluate = subparsers.add_parser(
-        "evaluate", help="evaluate methods on the validation split", parents=[common]
-    )
-    evaluate.add_argument(
-        "--bundle", type=Path, default=None, help="directory of a bundle saved by `train` (optional)"
-    )
-    evaluate.add_argument(
-        "--methods",
-        nargs="+",
-        default=_DEFAULT_METHODS,
-        choices=list(METHODS) + ["MS/Oracle"],
-        help="methods to evaluate",
-    )
+    run = command("run", "resolve a config, run the full pipeline, print the method comparison")
+    run.add_argument("--bundle", type=Path, help="load a saved bundle instead of training")
+    run.add_argument("--output", type=Path, help="also save the trained bundle here")
+    run.add_argument("--methods", help="methods to evaluate", **methods)
+    train = command("train", "run the full pipeline and save the bundle")
+    train.add_argument("--output", type=Path, required=True, help="directory for the bundle")
+    evaluate = command("evaluate", "evaluate methods on the validation split")
+    evaluate.add_argument("--bundle", type=Path, help=bundle_help)
+    evaluate.add_argument("--methods", help="methods to evaluate", **methods)
+    command("labels", "print the optimal-scale label distribution")
 
-    subparsers.add_parser(
-        "labels", help="print the optimal-scale label distribution", parents=[common]
-    )
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the multi-stream inference server under a synthetic load",
-        parents=[common],
-    )
+    # Workload arguments; the deployment flags are the aliases added below.
+    serve = command("serve", "run the multi-stream inference server under a synthetic load")
+    serve.add_argument("--bundle", type=Path, help=bundle_help)
+    serve.add_argument("--streams", type=int, default=4, help="concurrent video streams")
+    serve.add_argument("--frames", type=int, help="frames per stream (default: snippet length)")
     serve.add_argument(
-        "--bundle", type=Path, default=None, help="directory of a bundle saved by `train` (optional)"
-    )
-    serve.add_argument("--streams", type=int, default=4, help="number of concurrent video streams")
-    serve.add_argument(
-        "--frames", type=int, default=None, help="frames per stream (default: snippet length)"
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads (default: preset); on a 2-core box 4 workers serve 0.9-0.95x "
-        "the frames/s of 2 (4 streams, benchmarks/results/serving_throughput.txt)",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=None, help="max micro-batch size (default: preset)"
-    )
-    serve.add_argument(
-        "--queue", type=int, default=None, help="scheduler queue capacity (default: preset)"
-    )
-    serve.add_argument(
-        "--policy",
-        choices=SCHEDULER_POLICIES.names(),
-        default=None,
-        help="backpressure policy when the queue is full (default: preset)",
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="shed queued frames older than this deadline (default: none)",
-    )
-    serve.add_argument(
-        "--pattern",
-        choices=ARRIVAL_PATTERNS.names(),
-        default="poisson",
+        "--pattern", choices=ARRIVAL_PATTERNS.names(), default="poisson",
         help="arrival process of the synthetic load",
     )
+    serve.add_argument("--rate", type=float, default=30.0, help="per-stream arrivals (frames/s)")
     serve.add_argument(
-        "--rate", type=float, default=30.0, help="mean per-stream arrival rate (frames/s)"
-    )
-    serve.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.0,
+        "--time-scale", type=float, default=0.0,
         help="replay speed: 0 = as fast as backpressure allows, 1 = real-time arrivals",
     )
-    serve.add_argument(
-        "--seqnms", action="store_true", help="apply Seq-NMS rescoring per stream at finalize"
-    )
-    serve.add_argument(
-        "--key-frame-interval",
-        type=int,
-        default=None,
-        help="Deep-Feature-Flow key-frame interval (1 = full detection every frame)",
-    )
-    serve.add_argument(
-        "--quantize-scales",
-        action="store_true",
-        help=(
-            "snap predicted scales to the regressor scale set so concurrent "
-            "streams share scheduler batch buckets"
-        ),
-    )
-    serve.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="trace the run: admission/queue/service spans and completions",
-    )
-    serve.add_argument(
-        "--telemetry-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of frames to trace, deterministic per admission (default: 1.0)",
-    )
-    serve.add_argument(
-        "--span-log",
-        type=Path,
-        default=None,
-        help="write every captured event as JSONL here (implies --telemetry)",
-    )
-    serve.add_argument(
-        "--export-trace",
-        type=Path,
-        default=None,
-        help="write a Chrome trace-event JSON of the run here (implies --telemetry)",
-    )
-
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="run a sharded serving cluster through a trace-driven scenario",
-        parents=[common],
-    )
+    cluster = command("cluster", "run a sharded serving cluster through a trace-driven scenario")
+    cluster.add_argument("--bundle", type=Path, help=bundle_help)
     cluster.add_argument(
-        "--bundle", type=Path, default=None, help="directory of a bundle saved by `train` (optional)"
-    )
-    cluster.add_argument("--shards", type=int, default=2, help="number of replica shards")
-    cluster.add_argument(
-        "--scenario",
-        choices=CLUSTER_SCENARIOS.names(),
-        default="flash_crowd",
+        "--scenario", choices=CLUSTER_SCENARIOS.names(), default="flash_crowd",
         help="workload scenario from the catalog (see repro.cluster.scenarios)",
     )
+    cluster.add_argument("--duration", type=float, default=30.0, help="horizon in (virtual) s")
+    cluster.add_argument("--streams", type=int, default=8, help="baseline concurrent streams")
+    cluster.add_argument("--rate", type=float, default=30.0, help="per-stream arrivals (frames/s)")
     cluster.add_argument(
-        "--mode",
-        choices=("simulate", "process"),
-        default="simulate",
-        help=(
-            "simulate: calibrated virtual-time engine (deterministic); "
-            "process: one spawned OS process per shard (frames over framed "
-            "pipes, crash supervision, stream migration)"
-        ),
+        "--peak", type=float, default=4.0,
+        help="peak intensity as a multiple of baseline (crowd size / surge factor)",
     )
     cluster.add_argument(
-        "--inject-fault",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "schedule a fault injection (process mode), e.g. "
-            "kill-replica:shard=0,at=2.0 — SIGKILL shard 0's worker process "
-            "2 s into the run; the supervisor must migrate and respawn"
-        ),
+        "--no-calibrate", action="store_true",
+        help="simulate with the analytic area-proportional service model instead of timing "
+        "the trained detector (skips training entirely)",
     )
+    cluster.add_argument("--trace", type=Path, help="replay a recorded JSONL trace instead")
+    cluster.add_argument("--save-trace", type=Path, help="also save the generated trace as JSONL")
     cluster.add_argument(
-        "--duration", type=float, default=30.0, help="scenario horizon in (virtual) seconds"
+        "--time-scale", type=float, default=0.25,
+        help="process-mode replay speed: 1 = real-time arrivals, 0 = as fast as possible",
     )
-    cluster.add_argument(
-        "--streams", type=int, default=8, help="baseline concurrent streams of the scenario"
-    )
-    cluster.add_argument(
-        "--rate", type=float, default=30.0, help="per-stream mean arrival rate (frames/s)"
-    )
-    cluster.add_argument(
-        "--peak",
-        type=float,
-        default=4.0,
-        help="peak workload intensity as a multiple of baseline (crowd size / surge factor)",
-    )
-    cluster.add_argument(
-        "--router",
-        choices=ROUTING_POLICIES.names(),
-        default="least-loaded",
-        help="stream placement policy",
-    )
-    cluster.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=250.0,
-        help="the ScaleGovernor's rolling-p95 SLO target",
-    )
-    cluster.add_argument(
-        "--no-governor",
-        action="store_true",
-        help="disable the SLO feedback loop (open-loop full-quality serving)",
-    )
-    cluster.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="enable the occupancy autoscaler (shard add/drain)",
-    )
-    cluster.add_argument(
-        "--no-calibrate",
-        action="store_true",
-        help=(
-            "simulate with the analytic area-proportional service model instead "
-            "of timing the trained detector (skips training entirely)"
-        ),
-    )
-    cluster.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="replay a recorded JSONL trace instead of generating the scenario",
-    )
-    cluster.add_argument(
-        "--save-trace",
-        type=Path,
-        default=None,
-        help="also save the generated workload trace as JSONL (replayable via --trace)",
-    )
-    cluster.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.25,
-        help=(
-            "process-mode replay speed: 1 = real-time arrivals, 0 = as fast "
-            "as possible (simulate runs on virtual time)"
-        ),
-    )
-    cluster.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the cluster report as JSON",
-    )
-    cluster.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="trace the run: admission/queue/service spans, completions, governor decisions",
-    )
-    cluster.add_argument(
-        "--telemetry-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of frames to trace, deterministic per admission (default: 1.0)",
-    )
-    cluster.add_argument(
-        "--span-log",
-        type=Path,
-        default=None,
-        help="write every captured event as JSONL here (implies --telemetry)",
-    )
-    cluster.add_argument(
-        "--export-trace",
-        type=Path,
-        default=None,
-        help="write a Chrome trace-event JSON of the run here (implies --telemetry)",
-    )
+    cluster.add_argument("--output", type=Path, help="also write the cluster report as JSON")
+    for sub, aliases in ((serve, SERVE_ALIASES), (cluster, CLUSTER_ALIASES)):
+        for alias in aliases:
+            value = "=true" if alias.options is _SWITCH else ""
+            where = f" [--set {alias.to}{value}]" if isinstance(alias.to, str) else ""
+            sub.add_argument(alias.flag, action=_Given, help=alias.help + where, **alias.options)
 
-    obs = subparsers.add_parser(
-        "obs",
-        help="summarize or export a telemetry span log from a traced run",
-    )
-    obs_subparsers = obs.add_subparsers(dest="obs_command", required=True)
-    obs_summarize = obs_subparsers.add_parser(
+    obs = command("obs", "summarize or export a span log from a traced run", experiment=False)
+    obs_commands = obs.add_subparsers(dest="obs_command", required=True)
+    summarize = obs_commands.add_parser(
         "summarize", help="rollup tables, decisions and SLO burn rates for a span log"
     )
-    obs_summarize.add_argument("input", type=Path, help="JSONL span log (from --span-log)")
-    obs_summarize.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=250.0,
+    export = obs_commands.add_parser("export", help="convert a span log to a viewer/scrape format")
+    for sub in (summarize, export):
+        sub.add_argument("input", type=Path, help="JSONL span log (from --span-log)")
+    summarize.add_argument(
+        "--target-p95-ms", type=float, default=250.0,
         help="latency target the burn-rate series is computed against",
     )
-    obs_summarize.add_argument(
-        "--burn-by",
-        choices=("stream", "shard"),
-        default="shard",
+    summarize.add_argument(
+        "--burn-by", choices=("stream", "shard"), default="shard",
         help="entity the burn-rate series is keyed by",
     )
-    obs_export = obs_subparsers.add_parser(
-        "export", help="convert a span log to a viewer/scrape format"
-    )
-    obs_export.add_argument("input", type=Path, help="JSONL span log (from --span-log)")
-    obs_export.add_argument(
-        "--format",
-        choices=("chrome-trace", "prometheus"),
-        required=True,
+    export.add_argument(
+        "--format", choices=("chrome-trace", "prometheus"), required=True,
         help="chrome-trace: chrome://tracing / Perfetto JSON; prometheus: text exposition",
     )
-    obs_export.add_argument(
-        "--output", type=Path, required=True, help="file the export is written to"
-    )
+    export.add_argument("--output", type=Path, required=True, help="file the export goes to")
 
-    config_cmd = subparsers.add_parser(
-        "config",
-        help="show, save or check declarative configs",
-        parents=[common],
-    )
-    config_cmd.add_argument(
-        "--format", choices=("toml", "json"), default="toml", help="--show output format"
-    )
-    config_cmd.add_argument(
-        "--save", type=Path, default=None, help="write the resolved config to a .json/.toml file"
-    )
-    config_cmd.add_argument(
-        "--check",
-        action="store_true",
+    config = command("config", "show, save or check declarative configs")
+    config.add_argument("--format", choices=("toml", "json"), default="toml", help="--show format")
+    config.add_argument("--save", type=Path, help="write the resolved config to .json/.toml")
+    config.add_argument(
+        "--check", action="store_true",
         help="round-trip every registered preset through dict/JSON/TOML and fail on drift",
     )
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the benchmark harness and write machine-readable BENCH_*.json results",
+    bench = command("bench", "run the benchmark harness (BENCH_*.json results)", experiment=False)
+    bench.add_argument("--all", action="store_true", help="run every benchmark (the default)")
+    bench.add_argument(
+        "--only", nargs="+", metavar="NAME", help="run only these benchmarks (see --list)"
     )
     bench.add_argument(
-        "--all",
-        action="store_true",
-        help="run every benchmark (the default when --only is not given)",
+        "--fast", action="store_true", help="smoke mode: short schedules (REPRO_BENCH_FAST=1)"
+    )
+    bench.add_argument("--list", action="store_true", help="list the benchmarks and exit")
+    bench.add_argument(
+        "--bench-dir", type=Path, default=Path("benchmarks"), help="the benchmark suite"
+    )
+    bench.add_argument("--results-dir", type=Path, help="default: <bench-dir>/results")
+    bench.add_argument(
+        "--compare", action="store_true",
+        help="gate existing BENCH_*.json results against committed baselines instead of "
+        "running benchmarks; exits non-zero on gate violations",
     )
     bench.add_argument(
-        "--only",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="run only the named benchmarks (names as printed by --list)",
-    )
-    bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="smoke mode: shrink training schedules (sets REPRO_BENCH_FAST=1)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list the available benchmarks and exit"
-    )
-    bench.add_argument(
-        "--bench-dir",
-        type=Path,
-        default=Path("benchmarks"),
-        help="directory holding the benchmark suite (default: ./benchmarks)",
-    )
-    bench.add_argument(
-        "--results-dir",
-        type=Path,
-        default=None,
-        help="where results are written/read (default: <bench-dir>/results)",
-    )
-    bench.add_argument(
-        "--compare",
-        action="store_true",
-        help=(
-            "compare existing BENCH_*.json results against committed baselines "
-            "instead of running benchmarks; exits non-zero on gate violations"
-        ),
-    )
-    bench.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=None,
-        help="baseline artefacts for --compare (default: <bench-dir>/baselines)",
+        "--baseline-dir", type=Path, help="baselines for --compare (default: <bench-dir>/baselines)"
     )
     return parser
 
 
 # -- config/pipeline resolution ----------------------------------------------
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """preset < --config file < --set overrides, via the api facade."""
+    """preset < --config file < --set < alias flags, validated once at the end.
+
+    Only the alias flags actually given on the command line apply, in table
+    order, each through the same dotted-path machinery as ``--set``.
+    """
+    given = getattr(args, "given", ())
     try:
-        return api.load_experiment_config(
+        config = api.load_experiment_config(
             preset=args.preset,
             config_file=getattr(args, "config", None),
             overrides=getattr(args, "overrides", None) or (),
             seed=args.seed,
+            validate=False,
         )
+        for alias in ALIASES.get(args.command, ()):
+            if alias.dest in given:
+                config = apply_overrides(config, alias.overrides(getattr(args, alias.dest), config))
+        config.validate()
     except (KeyError, TypeError, ValueError, OSError, RuntimeError) as exc:
         raise SystemExit(f"repro: config error: {exc}") from exc
+    return config
 
 
 def _config_source(args: argparse.Namespace) -> str:
@@ -507,18 +374,38 @@ def _config_source(args: argparse.Namespace) -> str:
     return ", ".join(parts)
 
 
-def _pipeline(args: argparse.Namespace) -> api.Pipeline:
-    config = _resolve_config(args)
+def _dataset_cls(args: argparse.Namespace, config: ExperimentConfig) -> type:
     # A --config/--set override of dataset.name wins over the preset's
     # dataset; unregistered names keep the preset's dataset class.
     if config.dataset.name in api.DATASETS:
-        dataset_cls = api.DATASETS.get(config.dataset.name)
-    else:
-        dataset_cls = EXPERIMENT_PRESETS.get(args.preset).dataset_cls
+        return api.DATASETS.get(config.dataset.name)
+    return EXPERIMENT_PRESETS.get(args.preset).dataset_cls
+
+
+def _pipeline(args: argparse.Namespace) -> api.Pipeline:
+    config = _resolve_config(args)
     bundle_dir = getattr(args, "bundle", None)
     if bundle_dir is not None:
-        return api.Pipeline.from_bundle(bundle_dir, config, dataset_cls)
-    return api.Pipeline.from_config(config, dataset=dataset_cls)
+        return api.Pipeline.from_bundle(bundle_dir, config, _dataset_cls(args, config))
+    return api.Pipeline.from_config(config, dataset=_dataset_cls(args, config))
+
+
+def _telemetry(config: ExperimentConfig) -> TelemetryConfig | None:
+    """The run's tracing config, or None when ``telemetry.enabled`` is off."""
+    if not config.telemetry.enabled:
+        return None
+    # Exports want the whole run, not the last ring-full of it.
+    return config.telemetry.with_(ring_capacity=max(config.telemetry.ring_capacity, 262_144))
+
+
+def _write_traces(args: argparse.Namespace, config: ExperimentConfig, events) -> None:
+    if config.telemetry.enabled and config.telemetry.jsonl_path:
+        print(f"Wrote telemetry span log ({len(events)} events) to {config.telemetry.jsonl_path}")
+    if args.export_trace is not None:
+        from repro.observability import write_chrome_trace
+
+        path = write_chrome_trace(args.export_trace, events)
+        print(f"Wrote Chrome trace ({len(events)} events) to {path}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -533,43 +420,19 @@ def _run_run(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    """Serve a synthetic load with the resolved ``serving``/``telemetry`` config.
+
+    The serving and tracing flags are aliases (``SERVE_ALIASES``) already
+    folded into the config; only the workload arguments (streams, frames,
+    pattern, rate, time scale) and the Chrome-trace path are read here.
+    """
     if args.streams < 1:
         raise SystemExit(f"repro serve: error: --streams must be >= 1, got {args.streams}")
     if args.frames is not None and args.frames < 1:
         raise SystemExit(f"repro serve: error: --frames must be >= 1, got {args.frames}")
-    if args.quantize_scales:
-        overrides = list(getattr(args, "overrides", None) or ())
-        overrides.append("adascale.quantize_predicted_scale=true")
-        args.overrides = overrides
     pipeline = _pipeline(args)
-    serving = pipeline.config.serving
-    flag_overrides = {
-        "num_workers": args.workers,
-        "max_batch_size": args.batch_size,
-        "queue_capacity": args.queue,
-        "backpressure": args.policy,
-        "deadline_ms": args.deadline_ms,
-        "key_frame_interval": args.key_frame_interval,
-    }
-    serving = serving.with_(**{k: v for k, v in flag_overrides.items() if v is not None})
-    if args.seqnms:
-        serving = serving.with_(use_seqnms=True)
-
-    telemetry = None
-    if args.telemetry or args.span_log is not None or args.export_trace is not None:
-        try:
-            telemetry = pipeline.config.telemetry.with_(
-                enabled=True,
-                sample_rate=args.telemetry_sample,
-                jsonl_path=str(args.span_log) if args.span_log is not None else "",
-                # Exports want the whole run, not the last ring-full of it.
-                ring_capacity=max(pipeline.config.telemetry.ring_capacity, 262_144),
-            )
-            telemetry.validate()
-        except ValueError as exc:
-            raise SystemExit(f"repro serve: error: {exc}") from exc
-
-    with api.Server(pipeline.bundle, serving=serving) as server:
+    config = pipeline.config
+    with api.Server(pipeline.bundle, serving=config.serving) as server:
         report = server.serve_load(
             streams=args.streams,
             frames_per_stream=args.frames,
@@ -577,66 +440,34 @@ def _run_serve(args: argparse.Namespace) -> int:
             rate_fps=args.rate,
             time_scale=args.time_scale,
             seed=args.seed if args.seed is not None else 0,
-            telemetry=telemetry,
+            telemetry=_telemetry(config),
         )
     print(
         report.format(
             title=(
                 f"Serving telemetry — {_config_source(args)}, {args.streams} streams, "
-                f"{args.pattern} arrivals, policy {serving.backpressure}"
+                f"{args.pattern} arrivals, policy {config.serving.backpressure}"
             )
         )
     )
-    if args.span_log is not None:
-        print(f"Wrote telemetry span log ({len(report.trace_events)} events) to {args.span_log}")
-    if args.export_trace is not None:
-        from repro.observability import write_chrome_trace
-
-        path = write_chrome_trace(args.export_trace, report.trace_events)
-        print(f"Wrote Chrome trace ({len(report.trace_events)} events) to {path}")
+    _write_traces(args, config, report.trace_events)
     return 0
 
 
 def _run_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        ClusterConfig,
-        ScenarioConfig,
-        WorkloadTrace,
-        analytic_service_model,
-        build_scenario,
-        parse_fault_spec,
-    )
+    """Run a scenario on the deployment the resolved ``cluster`` section names.
 
-    if args.shards < 1:
-        raise SystemExit(f"repro cluster: error: --shards must be >= 1, got {args.shards}")
-    fault = ClusterConfig().fault
-    if args.inject_fault is not None:
-        try:
-            fault = parse_fault_spec(args.inject_fault)
-        except ValueError as exc:
-            raise SystemExit(f"repro cluster: error: {exc}") from exc
+    The deployment flags are aliases (``CLUSTER_ALIASES``) already folded
+    into the config, and :meth:`repro.api.Cluster.from_config` reads
+    ``config.cluster``.  Only the workload (``--scenario``/``--duration``/
+    ``--streams``/``--rate``/``--peak``/``--trace``) and the run's outputs
+    are command arguments.
+    """
+    from repro.cluster import ScenarioConfig, WorkloadTrace, build_scenario
+
     config = _resolve_config(args)
-    seed = args.seed if args.seed is not None else 0
-    cluster_config = ClusterConfig(
-        num_shards=args.shards,
-        mode=args.mode,
-        router=ClusterConfig().router.with_(policy=args.router),
-        governor=ClusterConfig().governor.with_(
-            enabled=not args.no_governor, target_p95_ms=args.target_p95_ms
-        ),
-        autoscaler=ClusterConfig().autoscaler.with_(
-            enabled=args.autoscale, max_shards=max(args.shards * 4, 8)
-        ),
-        fault=fault,
-    )
-    try:
-        cluster_config.validate()
-    except ValueError as exc:
-        raise SystemExit(f"repro cluster: error: {exc}") from exc
-
     if args.trace is not None:
         workload: ScenarioConfig | WorkloadTrace = WorkloadTrace.load_jsonl(args.trace)
-        scenario_name = workload.name
     else:
         scenario = ScenarioConfig(
             name=args.scenario,
@@ -644,75 +475,36 @@ def _run_cluster(args: argparse.Namespace) -> int:
             num_streams=args.streams,
             rate_fps=args.rate,
             peak_multiplier=args.peak,
-            seed=seed,
+            seed=args.seed if args.seed is not None else 0,
         )
         try:
             workload = build_scenario(scenario)
         except ValueError as exc:
             raise SystemExit(f"repro cluster: error: {exc}") from exc
-        scenario_name = scenario.name
     if args.save_trace is not None:
         path = workload.save_jsonl(args.save_trace)
         print(f"Saved workload trace ({len(workload)} events) to {path}")
 
-    telemetry = None
-    if args.telemetry or args.span_log is not None or args.export_trace is not None:
-        try:
-            telemetry = config.telemetry.with_(
-                enabled=True,
-                sample_rate=args.telemetry_sample,
-                jsonl_path=str(args.span_log) if args.span_log is not None else "",
-                # Exports want the whole run, not the last ring-full of it.
-                ring_capacity=max(config.telemetry.ring_capacity, 262_144),
-            )
-            telemetry.validate()
-        except ValueError as exc:
-            raise SystemExit(f"repro cluster: error: {exc}") from exc
-
-    if args.mode == "simulate" and args.no_calibrate:
-        # Pure simulation: analytic service model, no training at all.
-        facade = api.Cluster(
-            cluster=cluster_config,
-            serving=config.serving,
-            adascale=config.adascale,
-            service_model=analytic_service_model(config.adascale),
-        )
-    else:
-        pipeline = _pipeline(args)
-        facade = api.Cluster(
-            bundle=pipeline.bundle,
-            cluster=cluster_config,
-            serving=config.serving,
-            adascale=config.adascale,
-        )
-        if args.bundle is not None:
-            # Process-mode replicas load straight from the saved bundle
-            # instead of re-saving it to a temporary directory.
-            facade._bundle_dir = str(args.bundle)
-    report = facade.run_scenario(
-        workload, time_scale=args.time_scale, telemetry=telemetry
+    facade = api.Cluster.from_config(
+        config,
+        bundle_dir=args.bundle,
+        dataset=_dataset_cls(args, config),
+        calibrate=not args.no_calibrate,
     )
+    report = facade.run_scenario(workload, time_scale=args.time_scale, telemetry=_telemetry(config))
     print(
         report.format(
             title=(
-                f"Cluster report — {_config_source(args)}, scenario {scenario_name}, "
-                f"{args.shards} shards, {args.mode}"
+                f"Cluster report — {_config_source(args)}, scenario {workload.name}, "
+                f"{config.cluster.num_shards} shards, {config.cluster.mode}"
             )
         )
     )
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(
-            json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
-        )
+        args.output.write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
         print(f"\nWrote cluster report JSON to {args.output}")
-    if args.span_log is not None:
-        print(f"Wrote telemetry span log ({len(report.trace_events)} events) to {args.span_log}")
-    if args.export_trace is not None:
-        from repro.observability import write_chrome_trace
-
-        path = write_chrome_trace(args.export_trace, report.trace_events)
-        print(f"Wrote Chrome trace ({len(report.trace_events)} events) to {path}")
+    _write_traces(args, config, report.trace_events)
     return 0
 
 

@@ -6,6 +6,11 @@ of those shards into a deployment that survives planetary traffic shapes —
 and closes the loop between observed latency and the quality the system
 chooses, the co-design the paper's scale/speed trade-off enables:
 
+The deployment itself is data: :class:`ClusterConfig` (router, governor,
+autoscaler, process pool, fault) is the ``cluster`` section of
+:class:`~repro.config.ExperimentConfig`, so presets, config files and
+``--set cluster.…`` reach it.
+
 * :mod:`~repro.cluster.router` — stream→shard placement (hash /
   least-loaded) with per-shard admission caps and front-door overload
   rejection;
@@ -35,14 +40,13 @@ The user-facing entry points are :class:`repro.api.Cluster` and the
 ``repro cluster`` CLI command.
 """
 
-from repro.cluster.config import (
+from repro.config import (
     AutoscalerConfig,
     ClusterConfig,
     FaultConfig,
     GovernorConfig,
     ProcessPoolConfig,
     RouterConfig,
-    ScenarioConfig,
 )
 from repro.cluster.faults import build_fault_injector, parse_fault_spec
 from repro.cluster.controller import (
@@ -56,7 +60,7 @@ from repro.cluster.procpool import ProcessReplica, ReplicaSupervisor
 from repro.cluster.replica import ReplicaSpec
 from repro.cluster.report import ClusterReport, ShardReport
 from repro.cluster.router import Router
-from repro.cluster.scenarios import TraceEvent, WorkloadTrace, build_scenario
+from repro.cluster.scenarios import ScenarioConfig, TraceEvent, WorkloadTrace, build_scenario
 from repro.cluster.service_model import (
     ServiceModel,
     analytic_service_model,

@@ -29,7 +29,8 @@ import tempfile
 import time
 from typing import Mapping, Sequence
 
-from repro.cluster.config import ClusterConfig, ScenarioConfig
+from repro.config import ClusterConfig
+from repro.cluster.scenarios import ScenarioConfig
 from repro.cluster.faults import build_fault_injector
 from repro.cluster.governor import Autoscaler, GovernorAction, ScaleGovernor
 from repro.cluster.procpool import ProcessReplica, ReplicaSupervisor

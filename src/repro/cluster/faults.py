@@ -16,7 +16,7 @@ The CLI accepts the compact spec syntax parsed by :func:`parse_fault_spec`::
 
 from __future__ import annotations
 
-from repro.cluster.config import FaultConfig
+from repro.config import FaultConfig
 from repro.registries import FAULT_INJECTORS
 from repro.utils.logging import get_logger
 

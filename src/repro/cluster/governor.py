@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.config import AutoscalerConfig, GovernorConfig
+from repro.config import AutoscalerConfig, GovernorConfig
 from repro.observability.metrics import get_registry
 from repro.observability.trace import active_tracer
 from repro.registries import CLUSTER_AUTOSCALERS, CLUSTER_GOVERNORS

@@ -46,7 +46,7 @@ import time
 
 import numpy as np
 
-from repro.cluster.config import ProcessPoolConfig
+from repro.config import ProcessPoolConfig
 from repro.cluster.governor import GovernorAction
 from repro.cluster.ipc import (
     CLOCK_PROBES,

@@ -27,7 +27,7 @@ import hashlib
 import itertools
 from typing import Sequence
 
-from repro.cluster.config import RouterConfig
+from repro.config import RouterConfig
 from repro.observability.metrics import get_registry
 from repro.registries import ROUTING_POLICIES
 

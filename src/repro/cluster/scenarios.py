@@ -41,10 +41,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.cluster.config import ScenarioConfig
+from repro.config import SerializableConfig
 from repro.registries import ARRIVAL_PATTERNS, CLUSTER_SCENARIOS
 
 __all__ = [
+    "ScenarioConfig",
     "TraceEvent",
     "WorkloadTrace",
     "build_scenario",
@@ -55,6 +56,62 @@ __all__ = [
 #: Event kinds, in the order ties at one timestamp must resolve: a stream
 #: opens before its first frame, and closes only after its last frame.
 _KIND_ORDER = {"open": 0, "frame": 1, "close": 2}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(SerializableConfig):
+    """One trace-driven workload: shape, intensity, and seed.
+
+    ``name`` selects a generator from ``CLUSTER_SCENARIOS`` (``diurnal``,
+    ``flash_crowd``, ``heavy_tail``, ``slo_surge``, ``steady``, ``trace``);
+    the remaining fields parameterise it.  Shape-specific fields are ignored
+    by scenarios that do not use them, so one config class covers the whole
+    catalog and stays trivially serializable.
+    """
+
+    name: str = "flash_crowd"
+    #: trace horizon in (virtual) seconds; streams still open at the end close
+    duration_s: float = 30.0
+    #: baseline number of concurrent streams
+    num_streams: int = 8
+    #: per-stream mean arrival rate at baseline intensity
+    rate_fps: float = 30.0
+    seed: int = 0
+    #: peak workload intensity as a multiple of baseline (diurnal peak height,
+    #: flash-crowd crowd size, slo_surge overload factor)
+    peak_multiplier: float = 4.0
+    #: when the perturbation starts / how long it lasts, as trace fractions
+    surge_start_frac: float = 0.35
+    surge_duration_frac: float = 0.3
+    #: Pareto tail index of heavy_tail session lengths (smaller = heavier)
+    tail_alpha: float = 1.3
+    #: JSONL file of a recorded trace (the ``trace`` scenario replays it)
+    trace_path: str = ""
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if self.num_streams < 1:
+            raise ValueError(f"num_streams must be >= 1, got {self.num_streams}")
+        if self.rate_fps <= 0:
+            raise ValueError(f"rate_fps must be positive, got {self.rate_fps}")
+        if self.peak_multiplier < 1.0:
+            raise ValueError(
+                f"peak_multiplier must be >= 1, got {self.peak_multiplier}"
+            )
+        if not 0.0 <= self.surge_start_frac < 1.0:
+            raise ValueError(
+                f"surge_start_frac must be in [0, 1), got {self.surge_start_frac}"
+            )
+        if not 0.0 < self.surge_duration_frac <= 1.0:
+            raise ValueError(
+                f"surge_duration_frac must be in (0, 1], got {self.surge_duration_frac}"
+            )
+        if self.tail_alpha <= 1.0:
+            raise ValueError(
+                f"tail_alpha must be > 1 (finite mean), got {self.tail_alpha}"
+            )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig
+from repro.config import ClusterConfig
 from repro.cluster.governor import Autoscaler, GovernorAction, ScaleGovernor
 from repro.cluster.router import Router
 from repro.cluster.scenarios import WorkloadTrace

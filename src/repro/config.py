@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, TypeVar
 
 from repro import configio
 
@@ -28,6 +28,12 @@ __all__ = [
     "AdaScaleConfig",
     "ServingConfig",
     "TelemetryConfig",
+    "RouterConfig",
+    "GovernorConfig",
+    "AutoscalerConfig",
+    "ProcessPoolConfig",
+    "FaultConfig",
+    "ClusterConfig",
     "ExperimentConfig",
     "PAPER_SCALES",
     "REDUCED_SCALES",
@@ -46,6 +52,8 @@ PAPER_REGRESSOR_SCALES: tuple[int, ...] = (600, 480, 360, 240, 128)
 #: Reduced scale sets used by default in this reproduction (see DESIGN.md).
 REDUCED_SCALES: tuple[int, ...] = (128, 96, 72, 48)
 REDUCED_REGRESSOR_SCALES: tuple[int, ...] = (128, 96, 72, 48, 32)
+
+_C = TypeVar("_C", bound="SerializableConfig")
 
 
 class SerializableConfig:
@@ -80,6 +88,10 @@ class SerializableConfig:
         """Apply dotted-path overrides, e.g. ``{"serving.batch_wait_ms": "5"}``."""
         return configio.apply_overrides(self, overrides)
 
+    def with_(self: _C, **kwargs: object) -> _C:
+        """Return a copy with the given fields replaced."""
+        return replace(self, **kwargs)
+
 
 @dataclass(frozen=True)
 class DatasetConfig(SerializableConfig):
@@ -103,10 +115,6 @@ class DatasetConfig(SerializableConfig):
     #: strength of simulated motion blur in [0, 1]
     motion_blur: float = 0.3
     seed: int = 0
-
-    def with_(self, **kwargs: object) -> "DatasetConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,6 @@ class DetectorConfig(SerializableConfig):
     max_detections: int = 50
     #: λ in Eq. (1) — weight of the bounding-box regression loss
     bbox_loss_weight: float = 1.0
-
-    def with_(self, **kwargs: object) -> "DetectorConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,6 @@ class TrainingConfig(SerializableConfig):
     bg_iou_threshold: float = 0.3
     seed: int = 0
 
-    def with_(self, **kwargs: object) -> "TrainingConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class RegressorConfig(SerializableConfig):
@@ -192,10 +192,6 @@ class RegressorConfig(SerializableConfig):
     iterations: int = 400
     lr_decay_at: tuple[int, ...] = (280,)
     seed: int = 0
-
-    def with_(self, **kwargs: object) -> "RegressorConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -229,10 +225,6 @@ class AdaScaleConfig(SerializableConfig):
     def max_scale(self) -> int:
         """S_max used when clipping the decoded regressed scale (Alg. 1)."""
         return max(self.regressor_scales)
-
-    def with_(self, **kwargs: object) -> "AdaScaleConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -269,10 +261,6 @@ class ServingConfig(SerializableConfig):
     key_frame_interval: int = 1
     #: scale of each stream's first frame (None = AdaScale's S_max)
     initial_scale: int | None = None
-
-    def with_(self, **kwargs: object) -> "ServingConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     def validate(self) -> None:
         """Sanity checks; raises ``ValueError`` on inconsistency."""
@@ -327,16 +315,272 @@ class TelemetryConfig(SerializableConfig):
     #: JSONL span-log path; "" keeps the sink off
     jsonl_path: str = ""
 
-    def with_(self, **kwargs: object) -> "TelemetryConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
     def validate(self) -> None:
         """Sanity checks; raises ``ValueError`` on inconsistency."""
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {self.sample_rate}")
         if self.ring_capacity < 1:
             raise ValueError(f"ring_capacity must be >= 1, got {self.ring_capacity}")
+
+
+# -- the deployment half: a sharded cluster (``repro.cluster``) -------------
+# ``enabled`` flags replace optional sub-configs on purpose: TOML has no null,
+# and an omitted table must mean "defaults", never "feature off".
+
+
+@dataclass(frozen=True)
+class RouterConfig(SerializableConfig):
+    """Stream placement and per-shard admission control."""
+
+    #: placement policy, resolved through ``ROUTING_POLICIES``: "least-loaded"
+    #: (fewest assigned streams, ties by shard id) or "hash" (stable
+    #: stream-id hash, placement independent of arrival order)
+    policy: str = "least-loaded"
+    #: per-shard admission cap: a shard already serving this many streams is
+    #: not a placement candidate; when every live shard is at the cap the
+    #: stream itself is rejected (overload rejection at the front door)
+    max_streams_per_shard: int = 64
+    #: salt of the "hash" policy so deployments can re-shuffle placement
+    hash_seed: int = 0
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.max_streams_per_shard < 1:
+            raise ValueError(
+                f"max_streams_per_shard must be >= 1, got {self.max_streams_per_shard}"
+            )
+        from repro.registries import ROUTING_POLICIES, load_components
+
+        load_components()
+        if self.policy not in ROUTING_POLICIES:
+            raise ValueError(
+                f"unknown routing policy {self.policy!r}; "
+                f"registered policies: {', '.join(ROUTING_POLICIES.names())}"
+            )
+
+
+@dataclass(frozen=True)
+class GovernorConfig(SerializableConfig):
+    """SLO feedback loop: degrade AdaScale quality instead of shedding frames.
+
+    The governor watches each shard's *rolling* p95 end-to-end latency and
+    queue depth.  Above target it steps the shard's scale cap one rung down
+    the AdaScale ladder (and shrinks the micro-batch bound once the ladder is
+    exhausted); once the rolling p95 has stayed under ``release_fraction``
+    of the target for ``release_steps`` consecutive control periods it steps
+    quality back up.  Asymmetric on purpose: degrade fast, restore cautiously.
+    """
+
+    #: policy name resolved through ``CLUSTER_GOVERNORS``
+    kind: str = "slo-scale"
+    enabled: bool = True
+    #: the SLO: rolling p95 end-to-end latency each shard must stay under
+    target_p95_ms: float = 250.0
+    #: control period (seconds — virtual in simulation, wall-clock live)
+    interval_s: float = 0.25
+    #: rolling window (completions) the p95 is computed over
+    window: int = 32
+    #: completions a shard must have seen before the governor acts on it
+    warmup_completions: int = 8
+    #: queue depth that signals pressure even while the p95 still looks fine
+    #: (the queue is the leading indicator; latency is the lagging one)
+    queue_alarm_depth: int = 32
+    #: restore quality only after p95 < release_fraction * target ...
+    release_fraction: float = 0.6
+    #: ... for this many consecutive control periods
+    release_steps: int = 4
+    #: lowest batch bound the governor may impose once out of scale rungs
+    min_batch_size: int = 1
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.target_p95_ms <= 0:
+            raise ValueError(f"target_p95_ms must be positive, got {self.target_p95_ms}")
+        if self.interval_s <= 0:
+            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not 0.0 < self.release_fraction <= 1.0:
+            raise ValueError(
+                f"release_fraction must be in (0, 1], got {self.release_fraction}"
+            )
+        if self.release_steps < 1:
+            raise ValueError(f"release_steps must be >= 1, got {self.release_steps}")
+        if self.min_batch_size < 1:
+            raise ValueError(f"min_batch_size must be >= 1, got {self.min_batch_size}")
+
+
+@dataclass(frozen=True)
+class AutoscalerConfig(SerializableConfig):
+    """Occupancy-targeted shard add/drain policy.
+
+    Occupancy is offered work per unit of shard service capacity (1.0 = every
+    worker busy, >1.0 = queue building).  One step per decision keeps the
+    loop stable; the cooldown prevents add/drain flapping on load transients.
+    """
+
+    #: policy name resolved through ``CLUSTER_AUTOSCALERS``
+    kind: str = "occupancy"
+    enabled: bool = False
+    #: mean shard occupancy the policy steers toward
+    target_occupancy: float = 0.7
+    #: add a shard when mean occupancy exceeds this
+    scale_up_at: float = 0.95
+    #: drain a shard when mean occupancy falls below this
+    scale_down_at: float = 0.35
+    min_shards: int = 1
+    max_shards: int = 8
+    #: control period (seconds)
+    interval_s: float = 0.5
+    #: minimum time between two scaling actions
+    cooldown_s: float = 2.0
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if not 0 < self.target_occupancy:
+            raise ValueError(
+                f"target_occupancy must be positive, got {self.target_occupancy}"
+            )
+        if self.scale_down_at >= self.scale_up_at:
+            raise ValueError(
+                "scale_down_at must be below scale_up_at "
+                f"({self.scale_down_at} >= {self.scale_up_at})"
+            )
+        if not 1 <= self.min_shards <= self.max_shards:
+            raise ValueError(
+                f"need 1 <= min_shards <= max_shards, got "
+                f"[{self.min_shards}, {self.max_shards}]"
+            )
+        if self.interval_s <= 0:
+            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
+        if self.cooldown_s < 0:
+            raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
+
+
+@dataclass(frozen=True)
+class ProcessPoolConfig(SerializableConfig):
+    """Process-mode replica pool: spawn, IPC flow control, crash recovery.
+
+    ``max_inflight_per_shard`` is the parent-side submission window — at most
+    this many frames of one shard may be between ``submit`` and a terminal
+    state before the router's replay loop blocks.  It is clamped to the
+    shard's ``serving.queue_capacity`` at runtime so a child running the
+    lossless ``block`` policy can never stall its own control loop on
+    admission (the pipe would back up behind it and deadlock both sides).
+    """
+
+    #: parent-side cap on frames in flight to one shard (≤ queue_capacity)
+    max_inflight_per_shard: int = 64
+    #: cadence of the child's telemetry snapshots back to the parent proxy
+    metrics_interval_s: float = 0.2
+    #: first respawn delay after a crash; doubles per consecutive crash ...
+    respawn_backoff_s: float = 0.25
+    #: ... up to this bound (the "bounded backoff" of the supervisor)
+    respawn_backoff_max_s: float = 2.0
+    #: crashes after which a shard is abandoned instead of respawned
+    max_respawns: int = 3
+    #: how long to wait for a spawned child's Hello before declaring it dead
+    start_timeout_s: float = 120.0
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.max_inflight_per_shard < 1:
+            raise ValueError(
+                f"max_inflight_per_shard must be >= 1, got {self.max_inflight_per_shard}"
+            )
+        if self.metrics_interval_s <= 0:
+            raise ValueError(
+                f"metrics_interval_s must be positive, got {self.metrics_interval_s}"
+            )
+        if self.respawn_backoff_s <= 0:
+            raise ValueError(
+                f"respawn_backoff_s must be positive, got {self.respawn_backoff_s}"
+            )
+        if self.respawn_backoff_max_s < self.respawn_backoff_s:
+            raise ValueError(
+                "respawn_backoff_max_s must be >= respawn_backoff_s "
+                f"({self.respawn_backoff_max_s} < {self.respawn_backoff_s})"
+            )
+        if self.max_respawns < 0:
+            raise ValueError(f"max_respawns must be >= 0, got {self.max_respawns}")
+        if self.start_timeout_s <= 0:
+            raise ValueError(
+                f"start_timeout_s must be positive, got {self.start_timeout_s}"
+            )
+
+
+@dataclass(frozen=True)
+class FaultConfig(SerializableConfig):
+    """One scheduled fault injection (resolved through ``FAULT_INJECTORS``).
+
+    ``kind="none"`` disables injection; ``kind="kill-replica"`` SIGKILLs
+    shard ``shard_id``'s worker process ``at_s`` wall-clock seconds into the
+    run — the supervisor must then detect the crash, migrate the shard's live
+    streams and respawn it within the backoff bound.
+    """
+
+    kind: str = "none"
+    shard_id: int = 0
+    #: wall-clock seconds after replay start (process mode runs in real time)
+    at_s: float = 1.0
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.shard_id < 0:
+            raise ValueError(f"shard_id must be >= 0, got {self.shard_id}")
+        if self.at_s < 0:
+            raise ValueError(f"at_s must be >= 0, got {self.at_s}")
+        from repro.registries import FAULT_INJECTORS, load_components
+
+        load_components()
+        if self.kind not in FAULT_INJECTORS:
+            raise ValueError(
+                f"unknown fault injector {self.kind!r}; "
+                f"registered injectors: {', '.join(FAULT_INJECTORS.names())}"
+            )
+
+
+@dataclass(frozen=True)
+class ClusterConfig(SerializableConfig):
+    """A sharded deployment: replica count plus the control-plane policies.
+
+    The ``cluster`` section of :class:`ExperimentConfig`; each shard serves
+    with the experiment's :class:`ServingConfig`.
+    """
+
+    num_shards: int = 2
+    #: "simulate" — calibrated virtual-time engine (deterministic, used by the
+    #: scenario suite and scaling benchmarks); "process" — real
+    #: :class:`~repro.serving.InferenceServer` shards, one spawned OS process
+    #: per shard, frames over framed pipes
+    mode: str = "simulate"
+    router: RouterConfig = field(default_factory=RouterConfig)
+    governor: GovernorConfig = field(default_factory=GovernorConfig)
+    autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
+    procpool: ProcessPoolConfig = field(default_factory=ProcessPoolConfig)
+    fault: FaultConfig = field(default_factory=FaultConfig)
+
+    def validate(self) -> None:
+        """Sanity checks; raises ``ValueError`` on inconsistency."""
+        if self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
+        if self.mode not in ("simulate", "process"):
+            raise ValueError(f"mode must be 'simulate' or 'process', got {self.mode!r}")
+        self.router.validate()
+        self.governor.validate()
+        self.autoscaler.validate()
+        self.procpool.validate()
+        self.fault.validate()
+        if self.autoscaler.enabled and self.num_shards > self.autoscaler.max_shards:
+            raise ValueError(
+                f"num_shards {self.num_shards} exceeds autoscaler.max_shards "
+                f"{self.autoscaler.max_shards}"
+            )
+        if self.fault.kind != "none" and self.mode != "process":
+            raise ValueError(
+                "fault injection targets spawned replica processes — it needs "
+                f"mode='process', got mode={self.mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -350,11 +594,8 @@ class ExperimentConfig(SerializableConfig):
     adascale: AdaScaleConfig = field(default_factory=AdaScaleConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     seed: int = 0
-
-    def with_(self, **kwargs: object) -> "ExperimentConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     def validate(self) -> None:
         """Cross-field sanity checks; raises ``ValueError`` on inconsistency."""
@@ -371,6 +612,7 @@ class ExperimentConfig(SerializableConfig):
         _require_descending(self.adascale.regressor_scales, "adascale.regressor_scales")
         self.serving.validate()
         self.telemetry.validate()
+        self.cluster.validate()
         if self.serving.initial_scale is not None and not (
             self.adascale.min_scale <= self.serving.initial_scale <= self.adascale.max_scale
         ):

@@ -182,7 +182,10 @@ def parse_cli_value(raw: str, tp: Any, where: str) -> Any:
     if typing.get_origin(target) is tuple:
         items = [part.strip() for part in text.strip("[]()").split(",") if part.strip()]
         return coerce_value(tp, [_parse_scalar(item) for item in items], where)
-    return coerce_value(tp, _parse_scalar(text), where)
+    value = _parse_scalar(text)
+    if target is str and not isinstance(value, str):
+        value = text  # a str field keeps "123" / "true" as typed
+    return coerce_value(tp, value, where)
 
 
 def _parse_scalar(text: str) -> Any:

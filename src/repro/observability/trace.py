@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TYPE_CHECKING
 
 from repro.config import TelemetryConfig
 
@@ -69,13 +69,32 @@ class TraceContext:
     shard_id: int = -1
 
 
-@dataclass(frozen=True)
-class SpanEvent:
-    """One typed telemetry event.
+class _NoAttrs(Mapping[str, Any]):
+    """The empty ``attrs`` default: immutable, so every event may share it."""
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+class SpanEvent(NamedTuple):
+    """One typed telemetry event (immutable).
 
     ``kind`` is ``"span"`` (has a duration), ``"instant"`` (a point event on
     a frame's trace), or ``"decision"`` (a control-plane action — governor /
     autoscaler — that is not tied to a single frame; its trace_id is 0).
+
+    A named tuple rather than a frozen dataclass: a fleet frame builds about
+    ten of these in the child and ten more in the parent's merge, and a
+    tuple is built about 3x faster than a frozen dataclass.
     """
 
     name: str
@@ -88,7 +107,7 @@ class SpanEvent:
     stream_id: int = -1
     frame_index: int = -1
     shard_id: int = -1
-    attrs: Mapping[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = _NoAttrs()
 
     def to_dict(self) -> dict[str, Any]:
         """Strict-JSON form (what the JSONL sink writes, one event per line)."""
