@@ -463,10 +463,15 @@ class Server:
         """
         sources = round_robin_streams(self.bundle.val_dataset, streams)
         shortest = min(len(source) for source in sources)
-        frames = shortest if frames_per_stream is None else min(frames_per_stream, shortest)
+        if frames_per_stream is not None and frames_per_stream > shortest:
+            raise ValueError(
+                f"frames_per_stream={frames_per_stream} exceeds the shortest "
+                f"validation snippet ({shortest} frames); build longer snippets "
+                f"with --set dataset.frames_per_snippet={frames_per_stream}"
+            )
         generator = LoadGenerator(
             num_streams=streams,
-            frames_per_stream=frames,
+            frames_per_stream=shortest if frames_per_stream is None else frames_per_stream,
             pattern=pattern,
             rate_fps=rate_fps,
             seed=seed,

@@ -433,15 +433,18 @@ def _run_serve(args: argparse.Namespace) -> int:
     pipeline = _pipeline(args)
     config = pipeline.config
     with api.Server(pipeline.bundle, serving=config.serving) as server:
-        report = server.serve_load(
-            streams=args.streams,
-            frames_per_stream=args.frames,
-            pattern=args.pattern,
-            rate_fps=args.rate,
-            time_scale=args.time_scale,
-            seed=args.seed if args.seed is not None else 0,
-            telemetry=_telemetry(config),
-        )
+        try:
+            report = server.serve_load(
+                streams=args.streams,
+                frames_per_stream=args.frames,
+                pattern=args.pattern,
+                rate_fps=args.rate,
+                time_scale=args.time_scale,
+                seed=args.seed if args.seed is not None else 0,
+                telemetry=_telemetry(config),
+            )
+        except ValueError as exc:
+            raise SystemExit(f"repro serve: error: {exc}") from exc
     print(
         report.format(
             title=(

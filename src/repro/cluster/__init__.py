@@ -30,7 +30,9 @@ autoscaler, process pool, fault) is the ``cluster`` section of
   framed length-prefixed pipe protocol, with crash supervision,
   cross-shard stream migration and scheduled fault injection;
 * :mod:`~repro.cluster.simulation` — the calibrated virtual-time engine that
-  makes scaling and SLO experiments exact and machine-independent;
+  makes scaling and SLO experiments exact and machine-independent: each
+  shard runs the real :class:`~repro.serving.scheduler.FrameScheduler` on
+  the virtual clock, with measured service times in place of the detector;
 * :mod:`~repro.cluster.service_model` — per-scale service costs measured on
   the real detector (:func:`calibrate_service_model`);
 * :mod:`~repro.cluster.controller` / :mod:`~repro.cluster.report` — scenario

@@ -15,11 +15,15 @@ pickled-config spawn seam — into real OS processes.  Three pieces:
   control surface (``submit`` / ``open_stream`` / ``set_scale_cap`` /
   ``set_max_batch_size`` / ``drain`` / rolling telemetry) that the router,
   governor and report also drive on the virtual-time
-  :class:`~repro.cluster.simulation.SimulatedShard`.  Its submission window
+  :class:`~repro.cluster.simulation.SimulatedShard` (both run the same
+  :class:`~repro.serving.scheduler.FrameScheduler`).  Its submission window
   is capped at the child's ``queue_capacity``: the child's ``block``-policy
   admission can then never block its own pipe-reader loop (the queue always
   has room for everything the parent has in flight), which is what makes the
   lossless backpressure policy deadlock-free across the process boundary.
+  Frames beyond the window wait in the parent, so ``queue_depth`` (the
+  child's scheduler depth) never exceeds ``queue_capacity``; the simulated
+  shard counts its blocked backlog in ``queue_depth`` instead.
 
 * :class:`ReplicaSupervisor` watches the fleet: a dead child (detected as a
   typed channel error, never a hang) triggers **stream migration** — every
@@ -862,7 +866,12 @@ class ReplicaSupervisor:
         crash_abs = time.monotonic()
         self.crashes += 1
         replica.accepting = False
-        exitcode = replica._process.exitcode if replica._process is not None else None
+        process = replica._process
+        if process is not None:
+            # The channel can report the death before the child is reaped,
+            # and ``exitcode`` reads None until it is.
+            process.join(1.0)
+        exitcode = process.exitcode if process is not None else None
         fault = self._fault_notes.pop(replica.shard_id, None)
         _LOGGER.warning(
             "shard %d: replica process died (pid %s, exitcode %s)",

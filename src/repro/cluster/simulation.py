@@ -9,27 +9,30 @@ in an exact discrete-event loop.  Everything downstream of the calibration is
 bit-reproducible: same trace + same model + same seeds ⇒ the same report, on
 any machine.
 
-:class:`SimulatedShard` models one replica exactly the way
-:class:`~repro.serving.InferenceServer` behaves: a bounded queue with the
-same backpressure policies (``block`` admits losslessly — open-loop traces
-cannot be stalled, so blocking manifests as queue growth, which is what a
-blocked upstream looks like from inside), per-stream one-in-flight ordering,
-scale-bucketed micro-batches capped by ``max_batch_size``, deadline shedding,
-and a :class:`~repro.serving.metrics.ServerMetrics` driven by the virtual
-clock — so shard telemetry comes out of the *same* accumulation code the real
-server uses.
+:class:`SimulatedShard` *is* one replica's scheduling, not a model of it: it
+holds the real :class:`~repro.serving.scheduler.FrameScheduler` on the
+virtual clock — the same admission and backpressure policies, per-stream
+one-in-flight ordering, urgency-ordered scale buckets capped by
+``max_batch_size``, the work-conserving fill wait and deadline shedding —
+with :class:`~repro.cluster.service_model.ServiceModel` times standing in for
+the detector, and a :class:`~repro.serving.metrics.ServerMetrics` driven by
+the virtual clock, so shard telemetry comes out of the *same* accumulation
+code the real server uses.  An open-loop trace cannot stall, so a ``block``
+submitter's frames wait in a shard-side backlog once the scheduler holds
+``queue_capacity``: they keep their arrival time, and the backlog counts as
+queue depth — what a blocked upstream looks like to the control plane.
 
 Per-stream scale dynamics are a seeded random walk over the AdaScale ladder
-(the content-driven signal the regressor would produce), clamped by the
-shard's control-plane ``scale_cap`` — which is how the governor's quality
-degradation genuinely buys capacity here: smaller scale, smaller measured
-service time.
+(the content-driven signal the regressor would produce), advanced once per
+completed frame and clamped by the shard's control-plane ``scale_cap`` at
+dispatch — which is how the governor's quality degradation genuinely buys
+capacity here: smaller scale, smaller measured service time.
 
 :class:`ClusterSimulation` runs the event loop: trace events, batch
-completions, governor and autoscaler ticks, shard add/drain.  It shares the
-:class:`~repro.cluster.router.Router` and the governor/autoscaler *instances*
-with the process-shard path — the control plane cannot tell which world it is
-steering.
+completions, fill-wait wake-ups, governor and autoscaler ticks, shard
+add/drain.  It shares the :class:`~repro.cluster.router.Router` and the
+governor/autoscaler *instances* with the process-shard path — the control
+plane cannot tell which world it is steering.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,41 +51,41 @@ from repro.cluster.service_model import ServiceModel
 from repro.config import ServingConfig
 from repro.observability.trace import active_tracer
 from repro.serving.metrics import ServerMetrics
-
-if TYPE_CHECKING:
-    from repro.observability.trace import TraceContext
+from repro.serving.request import FrameRequest, RequestStatus
+from repro.serving.scheduler import FrameScheduler
 
 __all__ = ["SimulatedShard", "ClusterSimulation"]
 
-
-@dataclass
-class _SimFrame:
-    """One queued frame inside a simulated shard."""
-
-    stream_id: int
-    frame_index: int
-    arrival_s: float
-    deadline_s: float | None
-    scale: int
-    trace: "TraceContext | None" = None
+_WALK_STEPS = (-1, 0, 0, 1)  # sticky walk, mildly mobile
 
 
-class _ScaleWalk:
-    """Seeded random walk over the AdaScale ladder — one stream's content signal."""
+class _SimStream:
+    """A stream session's stand-in: a seeded walk over the AdaScale ladder.
 
-    def __init__(self, ladder: tuple[int, ...], seed: int) -> None:
-        self._ladder = ladder
+    :meth:`FrameRequest.resolve_scale` reads :attr:`current_scale` at
+    dispatch — the walk's rung clamped by the shard's control-plane cap — and
+    the walk advances once per completed frame, the way a real session's
+    regressor feedback does.
+    """
+
+    def __init__(self, shard: "SimulatedShard", seed) -> None:
+        self._shard = shard
         self._rng = np.random.default_rng(seed)
         self._index = 0  # streams open at full scale, like real sessions
 
-    def next_scale(self) -> int:
-        step = self._rng.choice((-1, 0, 0, 1))  # sticky walk, mildly mobile
-        self._index = int(np.clip(self._index + step, 0, len(self._ladder) - 1))
-        return self._ladder[self._index]
+    @property
+    def current_scale(self) -> int:
+        ladder, cap = self._shard.ladder, self._shard.scale_cap
+        scale = ladder[self._index]
+        return scale if cap is None else min(scale, max(cap, min(ladder)))
+
+    def advance(self) -> None:
+        step = _WALK_STEPS[self._rng.integers(len(_WALK_STEPS))]
+        self._index = min(max(self._index + step, 0), len(self._shard.ladder) - 1)
 
 
 class SimulatedShard:
-    """One replica in virtual time, telemetry-compatible with the real server."""
+    """One replica in virtual time: the real scheduler, modelled service times."""
 
     def __init__(
         self,
@@ -104,31 +105,47 @@ class SimulatedShard:
         self._clock = clock
         self._seed = seed
         self.metrics = ServerMetrics(clock=clock)
-        self._queue: deque[_SimFrame] = deque()
-        self._busy_streams: set[int] = set()
+        self.scheduler = FrameScheduler.from_config(
+            serving,
+            on_shed=self._on_shed,
+            on_depth=lambda depth: self.metrics.observe_queue_depth(
+                depth + len(self._backlog)
+            ),
+            on_batch=self.metrics.observe_batch,
+            clock=clock,
+        )
+        #: frames of a ``block`` submitter stalled at ``queue_capacity``
+        self._backlog: deque[FrameRequest] = deque()
+        self._streams: dict[int, _SimStream] = {}
         self._idle_workers = serving.num_workers
-        self._walks: dict[int, _ScaleWalk] = {}
+        #: fill-wait deadline of the batch an idle worker is holding, if any;
+        #: the event loop wakes the shard then
+        self.retry_at: float | None = None
         self.accepting = True
         self.scale_cap: int | None = None
-        self.max_batch_size = serving.max_batch_size
         self.baseline_batch_size = serving.max_batch_size
 
     # -- control-plane view ---------------------------------------------------
     @property
     def active_streams(self) -> int:
         """Streams currently open on this shard."""
-        return len(self._walks)
+        return len(self._streams)
 
     @property
     def queue_depth(self) -> int:
-        """Frames admitted but not yet dispatched."""
-        return len(self._queue)
+        """Frames admitted but not yet dispatched (blocked submissions included)."""
+        return self.scheduler.depth + len(self._backlog)
 
     @property
     def occupancy(self) -> float:
         """Offered work per unit of worker capacity (>1 ⇒ queue building)."""
         busy = self.serving.num_workers - self._idle_workers
-        return (busy + len(self._queue)) / self.serving.num_workers
+        return (busy + self.queue_depth) / self.serving.num_workers
+
+    @property
+    def max_batch_size(self) -> int:
+        """The micro-batch bound in force."""
+        return self.scheduler.max_batch_size
 
     def recent_latency(self, window: int):
         """Rolling latency view (same code path as the real server's)."""
@@ -140,216 +157,119 @@ class SimulatedShard:
 
     def set_max_batch_size(self, max_batch_size: int) -> None:
         """Adjust the micro-batch bound for batches formed from now on."""
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self.max_batch_size = int(max_batch_size)
+        self.scheduler.set_max_batch_size(max_batch_size)
 
     # -- stream lifecycle ------------------------------------------------------
     def open_stream(self, stream_id: int) -> None:
         """Register a stream (its scale walk is seeded deterministically)."""
-        self._walks[stream_id] = _ScaleWalk(self.ladder, seed=(self._seed, stream_id))
+        self._streams[stream_id] = _SimStream(self, seed=(self._seed, stream_id))
 
     def close_stream(self, stream_id: int) -> None:
         """Deregister a closed stream (queued frames still drain normally)."""
-        self._walks.pop(stream_id, None)
+        self._streams.pop(stream_id, None)
 
     # -- admission -------------------------------------------------------------
     def admit(self, stream_id: int, frame_index: int, now: float) -> bool:
-        """Apply the serving backpressure policy; returns False when refused.
+        """Submit one frame to the shard's scheduler; False when refused.
 
-        ``block`` admits losslessly (an open-loop trace cannot be paused, so
-        the pressure shows up as queue depth — exactly what a blocked
-        submitter produces); ``drop-oldest`` shed the stalest queued frame;
-        ``reject`` refuses the newcomer at capacity.
+        The scheduler's backpressure policy decides, as on a real server.  A
+        ``block`` submitter cannot stall an open-loop trace, so its frames
+        wait in arrival order in the shard's backlog until the scheduler has
+        room: latency still counts from arrival, and the control plane sees
+        the backlog as queue depth.
         """
         self.metrics.on_submitted()
-        walk = self._walks.get(stream_id)
-        if walk is None:  # frame for a stream this shard never opened
+        stream = self._streams.get(stream_id)
+        if stream is None:  # frame for a stream this shard never opened
             self.metrics.on_shed("rejected")
             return False
-        scale = self._effective_scale(walk.next_scale())
+        request = FrameRequest(
+            stream_id=stream_id,
+            frame_index=frame_index,
+            image=None,
+            enqueue_time=now,
+            session=stream,
+        )
         tracer = active_tracer()
-        trace = (
-            tracer.begin_trace(
+        if tracer is not None:
+            request.trace = tracer.begin_trace(
                 stream_id=stream_id,
                 frame_index=frame_index,
                 shard_id=self.shard_id,
                 now=now,
             )
-            if tracer is not None
-            else None
-        )
-        policy = self.serving.backpressure
-        if policy != "block" and len(self._queue) >= self.serving.queue_capacity:
-            if policy == "drop-oldest":
-                victim = self._queue.popleft()  # victims are queued, never in flight
-                self.metrics.on_shed("dropped")
-                if tracer is not None and victim.trace is not None:
-                    tracer.instant(
-                        "serving/shed", victim.trace, now=now, status="dropped"
-                    )
-            else:  # reject (and any custom policy degrades to reject here)
-                self.metrics.on_shed("rejected")
-                if tracer is not None and trace is not None:
-                    tracer.instant("serving/shed", trace, now=now, status="rejected")
-                return False
-        deadline = (
-            now + self.serving.deadline_ms / 1000.0
-            if self.serving.deadline_ms is not None
-            else None
-        )
-        self._queue.append(
-            _SimFrame(
-                stream_id=stream_id,
-                frame_index=frame_index,
-                arrival_s=now,
-                deadline_s=deadline,
-                scale=scale,
-                trace=trace,
-            )
-        )
-        self.metrics.observe_queue_depth(len(self._queue))
-        return True
+        if self.serving.backpressure == "block" and (
+            self._backlog or self.scheduler.depth >= self.scheduler.queue_capacity
+        ):
+            self._backlog.append(request)
+            self.metrics.observe_queue_depth(self.queue_depth)
+            return True
+        return self.scheduler.submit(request)
 
     # -- dispatch ---------------------------------------------------------------
-    def start_batches(self, now: float) -> list[tuple[float, list[_SimFrame]]]:
-        """Pull ready micro-batches onto idle workers; returns (finish, batch).
+    def start_batches(self, now: float) -> list[tuple[float, list[FrameRequest]]]:
+        """Dispatch due micro-batches onto idle workers; returns (finish, batch).
 
-        Mirrors the real scheduler: expire overdue frames, bucket by the
-        frame's resolved scale (head-of-line frame picks the bucket), honour
-        per-stream one-in-flight ordering, cap at ``max_batch_size``.
+        Afterwards :attr:`retry_at` holds the fill-wait deadline of a batch
+        that is waiting to fill (None when there is none).
         """
-        started: list[tuple[float, list[_SimFrame]]] = []
-        self._expire_overdue(now)
-        tracer = active_tracer()
+        started: list[tuple[float, list[FrameRequest]]] = []
+        self._unblock()
         while self._idle_workers > 0:
-            batch = self._form_batch()
+            batch, self.retry_at = self.scheduler.form_batch(self.retry_at)
             if not batch:
                 break
             self._idle_workers -= 1
-            for frame in batch:
-                self._busy_streams.add(frame.stream_id)
-            self.metrics.observe_batch(len(batch))
-            self.metrics.observe_queue_depth(len(self._queue))
-            if tracer is not None:
-                contexts = [frame.trace for frame in batch if frame.trace is not None]
-                if contexts:
-                    arrived = max(frame.arrival_s for frame in batch)
-                    tracer.emit_batch_span(
-                        "serving/batch_assembly",
-                        contexts,
-                        start_s=arrived,
-                        duration_s=max(now - arrived, 0.0),
-                        batch_size=len(batch),
-                    )
-            service_s = self.model.batch_time_s(batch[0].scale, len(batch))
-            started.append((now + service_s, batch))
+            self._unblock()
+            scale = batch[0].resolve_scale()
+            for request in batch:
+                request.scale = scale  # the cap in force at dispatch executes
+            started.append((now + self.model.batch_time_s(scale, len(batch)), batch))
         return started
 
-    def finish_batch(self, batch: list[_SimFrame], now: float) -> None:
+    def finish_batch(self, batch: list[FrameRequest], now: float) -> None:
         """Record completions and free the worker and the batch's streams."""
         self._idle_workers += 1
         # One scale per batch (the bucket invariant): compute the amortised
         # per-frame share once, not once per frame.
         batch_s = self.model.batch_time_s(batch[0].scale, len(batch))
         service_s = batch_s / len(batch)
-        dispatch_s = now - batch_s
-        tracer = active_tracer()
-        for frame in batch:
-            self._busy_streams.discard(frame.stream_id)
-            latency_s = now - frame.arrival_s
+        for request in batch:
+            self.scheduler.task_done(request.stream_id)
+            request.session.advance()
+            latency_s = now - request.enqueue_time
             self.metrics.on_completed(
-                stream_id=frame.stream_id,
+                stream_id=request.stream_id,
                 queue_wait_s=max(latency_s - service_s, 0.0),
                 service_s=service_s,
                 latency_s=latency_s,
             )
-            if tracer is not None and frame.trace is not None:
-                tracer.emit_span(
-                    "serving/queue_wait",
-                    frame.trace,
-                    start_s=frame.arrival_s,
-                    duration_s=max(dispatch_s - frame.arrival_s, 0.0),
-                )
-                tracer.emit_span(
-                    "serving/service",
-                    frame.trace,
-                    start_s=dispatch_s,
-                    duration_s=batch_s,
-                    service_s=service_s,
-                )
-                tracer.instant(
-                    "serving/complete_frame",
-                    frame.trace,
-                    now=now,
-                    latency_ms=1000.0 * latency_s,
-                    scale_used=frame.scale,
-                )
+            request.trace_completion(now, service_s, scale_used=request.scale)
 
     @property
     def idle(self) -> bool:
         """True when nothing is queued or in flight."""
-        return not self._queue and self._idle_workers == self.serving.num_workers
+        return self.queue_depth == 0 and self._idle_workers == self.serving.num_workers
 
     # -- internals ---------------------------------------------------------------
-    def _effective_scale(self, intrinsic: int) -> int:
-        if self.scale_cap is None:
-            return intrinsic
-        return min(intrinsic, max(self.scale_cap, min(self.ladder)))
+    def _unblock(self) -> None:
+        # A blocked submitter resumes as soon as the scheduler has room.
+        while self._backlog and self.scheduler.depth < self.scheduler.queue_capacity:
+            self.scheduler.submit(self._backlog.popleft())
 
-    def _form_batch(self) -> list[_SimFrame]:
-        # Single pass that partitions the queue into the batch and the
-        # survivors (rebuilt once) — per-frame deque.remove() would make
-        # dispatch quadratic in exactly the deep-backlog scenarios the
-        # scaling and slo_surge traces create on purpose.  ``seen`` marks
-        # every stream encountered this pass, batched or not: only a stream's
-        # *oldest* queued frame is ever batch-eligible, preserving the
-        # per-stream temporal ordering the real scheduler guarantees (a later
-        # frame must never overtake an earlier one left behind by a scale
-        # mismatch).
-        bucket_scale: int | None = None
-        batch: list[_SimFrame] = []
-        kept: deque[_SimFrame] = deque()
-        seen: set[int] = set()
-        for frame in self._queue:
-            if (
-                len(batch) < self.max_batch_size
-                and frame.stream_id not in self._busy_streams
-                and frame.stream_id not in seen
-            ):
-                scale = self._effective_scale(frame.scale)
-                if bucket_scale is None:
-                    bucket_scale = scale
-                if scale == bucket_scale:
-                    frame.scale = scale  # the cap in force at dispatch executes
-                    batch.append(frame)
-                    seen.add(frame.stream_id)
-                    continue
-            seen.add(frame.stream_id)
-            kept.append(frame)
-        self._queue = kept
-        return batch
-
-    def _expire_overdue(self, now: float) -> None:
-        if self.serving.deadline_ms is None:
-            return
+    def _on_shed(self, request: FrameRequest, status: RequestStatus) -> None:
+        self.metrics.on_shed(status.value)
         tracer = active_tracer()
-        kept = deque()
-        for frame in self._queue:
-            if frame.deadline_s is not None and frame.deadline_s < now:
-                self.metrics.on_shed("expired")
-                if tracer is not None and frame.trace is not None:
-                    tracer.instant(
-                        "serving/shed", frame.trace, now=now, status="expired"
-                    )
-            else:
-                kept.append(frame)
-        self._queue = kept
+        if tracer is not None and request.trace is not None:
+            tracer.instant(
+                "serving/shed", request.trace, now=self._clock(), status=status.value
+            )
 
 
 #: Event-kind dispatch order at equal timestamps: finish work before admitting
-#: more, and admit before control decisions read the state.
-_FINISH, _TRACE, _GOVERNOR, _AUTOSCALER = 0, 1, 2, 3
+#: more, admit before a fill wait expires (a frame arriving at the deadline
+#: joins the batch), and all of it before control decisions read the state.
+_FINISH, _TRACE, _WAKE, _GOVERNOR, _AUTOSCALER = 0, 1, 2, 3, 4
 
 
 class ClusterSimulation:
@@ -382,6 +302,7 @@ class ClusterSimulation:
         self._seq = itertools.count()
         self._outstanding_batches = 0
         self._pending_trace_events = 0
+        self._wakes: dict[int, float] = {}  # shard id -> fill-wait wake-up scheduled
         for _ in range(cluster.num_shards):
             self._add_shard()
 
@@ -427,6 +348,8 @@ class ClusterSimulation:
                 self._outstanding_batches -= 1
                 shard.finish_batch(batch, self.now)
                 self._start_work(shard)
+            elif kind == _WAKE:
+                self._start_work(payload)
             elif kind == _GOVERNOR:
                 actions = self.governor.step(self.shards, self.now)
                 self.timeline.extend(actions)
@@ -470,6 +393,9 @@ class ClusterSimulation:
         for finish_s, batch in shard.start_batches(self.now):
             self._outstanding_batches += 1
             self._push(finish_s, _FINISH, (shard, batch))
+        if shard.retry_at is not None and self._wakes.get(shard.shard_id) != shard.retry_at:
+            self._wakes[shard.shard_id] = shard.retry_at
+            self._push(shard.retry_at, _WAKE, shard)
 
     def _autoscale_step(self) -> None:
         desired = self.autoscaler.desired_shards(self.live_shards, self.now)

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.detection.rfcn import DetectionResult
+from repro.observability.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session → request)
     from repro.observability.trace import TraceContext
@@ -94,7 +95,7 @@ class FrameRequest:
     #: frame was sampled; None otherwise (the no-tracing fast path)
     trace: "TraceContext | None" = None
     #: monotonic time the scheduler dispatched the frame into a micro-batch
-    #: (set in ``next_batch``); splits latency into queue wait vs service
+    #: (set in ``form_batch``); splits latency into queue wait vs service
     dispatch_time: float | None = None
 
     def resolve_scale(self) -> int:
@@ -104,6 +105,41 @@ class FrameRequest:
         if self.scale is None:
             raise ValueError("request has neither a session nor a preset scale")
         return int(self.scale)
+
+    def trace_completion(self, now: float, service_s: float, **attrs) -> None:
+        """Emit the frame's queue-wait/service spans and completion instant.
+
+        No-op unless the frame is traced.  The queue-wait span runs from
+        enqueue to the scheduler's dispatch stamp; the service span covers
+        dispatch → completion, i.e. the frame's whole residence in the worker
+        including intra-batch wait.
+        """
+        tracer = active_tracer()
+        if tracer is None or self.trace is None:
+            return
+        dispatch = self.dispatch_time
+        if dispatch is None:  # a test bypassed the scheduler
+            dispatch = max(now - service_s, self.enqueue_time)
+        tracer.emit_span(
+            "serving/queue_wait",
+            self.trace,
+            start_s=self.enqueue_time,
+            duration_s=dispatch - self.enqueue_time,
+        )
+        tracer.emit_span(
+            "serving/service",
+            self.trace,
+            start_s=dispatch,
+            duration_s=now - dispatch,
+            service_s=service_s,
+        )
+        tracer.instant(
+            "serving/complete_frame",
+            self.trace,
+            now=now,
+            latency_ms=1000.0 * (now - self.enqueue_time),
+            **attrs,
+        )
 
     def resolve(self, result: FrameResult) -> None:
         """Resolve the future, tolerating an externally cancelled request."""

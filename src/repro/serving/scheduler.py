@@ -20,13 +20,23 @@ pool:
   them into one detector launch.  In this NumPy reproduction the win is
   dispatch amortisation and cache-warm weights rather than SIMD, but the
   scheduling semantics are the same.
+* **Work-conserving fill wait.**  A batch that is not full waits up to
+  ``batch_wait_s`` for more same-scale heads, but only while it would take
+  every ready head and some stream is busy (only a busy stream can release a
+  new head).  When another bucket has a ready head the batch goes at once:
+  a worker never idles in a fill wait beside dispatchable work.
 * **Deadline-aware ordering + shedding.**  Batches are formed from the bucket
   whose head is closest to its deadline (enqueue order when no deadlines are
   configured); frames whose deadline already passed are shed at dispatch time
   instead of wasting detector work.
 
-All state is guarded by one condition variable; submitters and workers may
-call concurrently from any thread.
+One policy, two clocks: :meth:`FrameScheduler.form_batch` is the
+non-blocking core, returning a batch or the time to retry;
+:meth:`FrameScheduler.next_batch` is the condition-variable wrapper the
+worker threads call on the wall clock, and the cluster simulator
+(:class:`~repro.cluster.simulation.SimulatedShard`) drives the same core on
+its virtual clock.  All state is guarded by one condition variable;
+submitters and workers may call concurrently from any thread.
 """
 
 from __future__ import annotations
@@ -35,10 +45,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from repro.observability.trace import active_tracer
 from repro.registries import SCHEDULER_POLICIES
 from repro.serving.request import FrameRequest, RequestStatus
+
+if TYPE_CHECKING:
+    from repro.config import ServingConfig
 
 __all__ = [
     "SchedulerClosedError",
@@ -137,6 +151,20 @@ class FrameScheduler:
         self._size = 0  # queued (admitted, not yet dispatched) frames
         self._closed = False
 
+    @classmethod
+    def from_config(cls, serving: "ServingConfig", **hooks) -> "FrameScheduler":
+        """The scheduler ``serving`` describes; ``hooks`` are the callbacks and clock."""
+        return cls(
+            queue_capacity=serving.queue_capacity,
+            backpressure=serving.backpressure,
+            max_batch_size=serving.max_batch_size,
+            batch_wait_s=serving.batch_wait_ms / 1000.0,
+            deadline_s=(
+                serving.deadline_ms / 1000.0 if serving.deadline_ms is not None else None
+            ),
+            **hooks,
+        )
+
     # -- introspection ------------------------------------------------------
     @property
     def depth(self) -> int:
@@ -188,72 +216,93 @@ class FrameScheduler:
             return True
 
     # -- dispatch -----------------------------------------------------------
-    def next_batch(self, timeout: float | None = 0.05) -> list[FrameRequest] | None:
-        """Form the next micro-batch, waiting up to ``timeout`` for work.
+    def form_batch(
+        self, fill_deadline: float | None = None
+    ) -> tuple[list[FrameRequest], float | None]:
+        """Dispatch the next micro-batch if one is due; never blocks.
 
-        Returns ``None`` when the scheduler is closed and fully drained (the
-        worker-exit signal) and ``[]`` on a timeout with no ready work.
+        Returns ``(batch, None)`` on dispatch, ``([], None)`` when no frame
+        is ready, and ``([], retry_at)`` while the batch waits to fill: the
+        caller retries at ``retry_at`` (or earlier, when a stream frees up)
+        and passes it back as ``fill_deadline``, so the wait runs from the
+        first look.  The wait is work-conserving: it applies only while some
+        stream is busy (only a busy stream can release a new head) and the
+        batch would take every ready head without filling up.  A ready head
+        in another bucket is dispatchable work, so the batch goes at once.
         Dispatched streams are marked busy until :meth:`task_done`.
         """
-        wait_deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
-            while True:
-                self._expire_overdue()
-                ready = self._ready_heads()
-                if ready:
-                    break
-                if self._closed and self._size == 0:
-                    return None
-                remaining = None if wait_deadline is None else wait_deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    return []
-                self._cond.wait(remaining if remaining is not None else None)
-
+            self._expire_overdue()
+            ready = self._ready_heads()
+            if not ready:
+                return [], None
             # Deadline-aware bucket choice: serve the scale bucket whose head
             # is most urgent (earliest deadline, enqueue order as tie-break).
             ready.sort(key=self._urgency)
             bucket_scale = ready[0].resolve_scale()
-
-            # Adaptive fill: briefly wait for more same-scale heads when the
-            # batch is not full and other streams are still mid-flight.  A
-            # stream can never batch with itself (one-in-flight ordering) and
-            # an already-ready head's scale cannot change, so the wait only
-            # pays off while some stream is busy and about to release a head.
-            if self.batch_wait_s > 0 and any(s.busy for s in self._streams.values()):
-                fill_deadline = self._clock() + self.batch_wait_s
-                while not self._closed:
-                    batch_candidates = [
-                        r for r in ready if r.resolve_scale() == bucket_scale
-                    ]
-                    if len(batch_candidates) >= self.max_batch_size:
-                        break
-                    remaining = fill_deadline - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                    self._expire_overdue()
-                    ready = self._ready_heads()
-                    if not ready:
-                        break
-                    ready.sort(key=self._urgency)
-                    bucket_scale = ready[0].resolve_scale()
-
             batch = [r for r in ready if r.resolve_scale() == bucket_scale]
             batch = batch[: self.max_batch_size]
-            dispatch_time = self._clock() if batch else 0.0
+            now = self._clock()
+            if (
+                self.batch_wait_s > 0
+                and not self._closed
+                and len(batch) == len(ready) < self.max_batch_size
+                and any(state.busy for state in self._streams.values())
+            ):
+                if fill_deadline is None:
+                    fill_deadline = now + self.batch_wait_s
+                if now < fill_deadline:
+                    return [], fill_deadline
             for request in batch:
                 state = self._streams[request.stream_id]
                 state.pending.popleft()
                 state.busy = True
                 self._size -= 1
-                request.dispatch_time = dispatch_time
-            if batch:
-                if self._on_depth is not None:
-                    self._on_depth(self._size)
-                if self._on_batch is not None:
-                    self._on_batch(len(batch))
+                request.dispatch_time = now
+            tracer = active_tracer()
+            traced = [] if tracer is None else [r.trace for r in batch if r.trace is not None]
+            if traced:
+                # Assembly window: the batch cannot form before its last
+                # member arrives; what follows until dispatch is the fill wait.
+                arrived = max(r.enqueue_time for r in batch)
+                tracer.emit_batch_span(
+                    "serving/batch_assembly",
+                    traced,
+                    start_s=min(arrived, now),
+                    duration_s=max(now - arrived, 0.0),
+                    batch_size=len(batch),
+                )
+            if self._on_depth is not None:
+                self._on_depth(self._size)
+            if self._on_batch is not None:
+                self._on_batch(len(batch))
             self._cond.notify_all()
-            return batch
+            return batch, None
+
+    def next_batch(self, timeout: float | None = 0.05) -> list[FrameRequest] | None:
+        """Form the next micro-batch, waiting up to ``timeout`` for work.
+
+        The blocking wrapper the worker threads call: sleeps on the condition
+        variable between :meth:`form_batch` attempts.  Returns ``None`` when
+        the scheduler is closed and fully drained (the worker-exit signal)
+        and ``[]`` on a timeout with no ready work.
+        """
+        wait_deadline = None if timeout is None else self._clock() + timeout
+        fill_deadline: float | None = None
+        with self._cond:
+            while True:
+                batch, fill_deadline = self.form_batch(fill_deadline)
+                if batch:
+                    return batch
+                if fill_deadline is not None:
+                    self._cond.wait(fill_deadline - self._clock())
+                    continue
+                if self._closed and self._size == 0:
+                    return None
+                remaining = None if wait_deadline is None else wait_deadline - self._clock()
+                if remaining is not None and remaining <= 0:
+                    return []
+                self._cond.wait(remaining)
 
     def task_done(self, stream_id: int) -> None:
         """Mark a dispatched frame finished; the stream's next frame is ready."""

@@ -78,16 +78,8 @@ class InferenceServer:
         self._drained = threading.Condition(self._lock)
         self._started = False
         self._stopped = False
-        self.scheduler = FrameScheduler(
-            queue_capacity=self.serving.queue_capacity,
-            backpressure=self.serving.backpressure,
-            max_batch_size=self.serving.max_batch_size,
-            batch_wait_s=self.serving.batch_wait_ms / 1000.0,
-            deadline_s=(
-                self.serving.deadline_ms / 1000.0
-                if self.serving.deadline_ms is not None
-                else None
-            ),
+        self.scheduler = FrameScheduler.from_config(
+            self.serving,
             on_shed=self._on_shed,
             on_depth=self.metrics.observe_queue_depth,
             on_batch=self.metrics.observe_batch,
@@ -327,8 +319,13 @@ class InferenceServer:
                 service_s=execution.service_s,
                 latency_s=latency,
             )
-            if request.trace is not None:
-                self._trace_completion(request, execution, now, queue_wait, latency)
+            request.trace_completion(
+                now,
+                execution.service_s,
+                scale_used=execution.scale_used,
+                next_scale=execution.next_scale,
+                is_key_frame=execution.is_key_frame,
+            )
             request.resolve(
                 FrameResult(
                     stream_id=request.stream_id,
@@ -346,51 +343,6 @@ class InferenceServer:
         finally:
             self.scheduler.task_done(request.stream_id)
             self._finish_one()
-
-    def _trace_completion(
-        self,
-        request: FrameRequest,
-        execution: FrameExecution,
-        now: float,
-        queue_wait: float,
-        latency: float,
-    ) -> None:
-        """Emit the frame's queue-wait/service spans and completion instant.
-
-        The queue-wait span runs from enqueue to the scheduler's dispatch
-        stamp (falling back to the metrics-derived wait if a test bypassed
-        ``next_batch``); the service span covers dispatch → completion, i.e.
-        the frame's whole residence in the worker including intra-batch wait.
-        """
-        tracer = active_tracer()
-        if tracer is None:
-            return
-        context = request.trace
-        dispatch = request.dispatch_time
-        if dispatch is None:
-            dispatch = request.enqueue_time + queue_wait
-        tracer.emit_span(
-            "serving/queue_wait",
-            context,
-            start_s=request.enqueue_time,
-            duration_s=dispatch - request.enqueue_time,
-        )
-        tracer.emit_span(
-            "serving/service",
-            context,
-            start_s=dispatch,
-            duration_s=now - dispatch,
-            service_s=execution.service_s,
-        )
-        tracer.instant(
-            "serving/complete_frame",
-            context,
-            now=now,
-            latency_ms=1000.0 * latency,
-            scale_used=execution.scale_used,
-            next_scale=execution.next_scale,
-            is_key_frame=execution.is_key_frame,
-        )
 
     def _finish_one(self) -> None:
         with self._drained:

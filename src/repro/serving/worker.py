@@ -169,22 +169,8 @@ class WorkerPool:
         # ``tracer`` stays None unless a frame of this batch is traced, so an
         # untraced batch runs each region as a bare profiler stage.
         tracer = active_tracer()
-        if tracer is not None:
-            traced = [r.trace for r in batch if r.trace is not None]
-            if not traced:
-                tracer = None
-            elif batch[0].dispatch_time is not None:
-                # Assembly window: the batch cannot form before its last member
-                # arrives; what follows until dispatch is the adaptive fill wait.
-                dispatch = batch[0].dispatch_time
-                arrived = max(r.enqueue_time for r in batch)
-                tracer.emit_batch_span(
-                    "serving/batch_assembly",
-                    traced,
-                    start_s=min(arrived, dispatch),
-                    duration_s=max(dispatch - arrived, 0.0),
-                    batch_size=len(batch),
-                )
+        if tracer is not None and all(r.trace is None for r in batch):
+            tracer = None
 
         plans: list[FramePlan] = []
         errors: dict[int, BaseException] = {}

@@ -284,6 +284,16 @@ class TestFacade:
         formatted = report.format()
         assert "Adaptive-scale traces" in formatted
 
+    def test_serve_load_refuses_more_frames_than_the_shortest_snippet(self, micro_bundle):
+        sources = api.round_robin_streams(micro_bundle.val_dataset, 2)
+        shortest = min(len(source) for source in sources)
+        with api.Server(micro_bundle) as server:
+            with pytest.raises(ValueError) as excinfo:
+                server.serve_load(streams=2, frames_per_stream=shortest + 1)
+        message = str(excinfo.value)
+        assert f"({shortest} frames)" in message
+        assert f"--set dataset.frames_per_snippet={shortest + 1}" in message
+
     def test_server_from_config_with_bundle_dir(self, micro_bundle, micro_config, tmp_path):
         bundle_dir = tmp_path / "bundle"
         micro_bundle.save(bundle_dir)

@@ -443,6 +443,28 @@ class TestSimulation:
         report = _simulate(scenario, ClusterConfig(num_shards=1), serving=serving)
         assert report.shed > 0  # overload + tight deadline must expire frames
 
+    def test_fill_wait_wakes_the_shard_at_its_deadline(self):
+        from repro.cluster.scenarios import TraceEvent
+        from repro.cluster.simulation import ClusterSimulation
+
+        trace = WorkloadTrace(
+            [
+                TraceEvent(time_s=0.0, stream_id=0, kind="open"),
+                TraceEvent(time_s=0.0, stream_id=1, kind="open"),
+                TraceEvent(time_s=0.0, stream_id=0, kind="frame"),
+                TraceEvent(time_s=0.001, stream_id=1, kind="frame"),
+            ]
+        )
+        model = ServiceModel()
+        cluster = ClusterConfig(num_shards=1, governor=GovernorConfig(enabled=False))
+        simulation = ClusterSimulation(cluster, SERVING, model, ADA.regressor_scales)
+        simulation.run(trace)
+        # Stream 1 arrives while stream 0 runs, so its batch waits out the
+        # 2 ms fill wait and then dispatches, without waiting for another event.
+        service_s = model.frame_time_s(max(ADA.regressor_scales))
+        latencies = sorted(simulation.shards[0].recent_latency(10).samples_s)
+        assert latencies == pytest.approx([service_s, SERVING.batch_wait_ms / 1000.0 + service_s])
+
     def test_router_cap_rejects_streams_in_simulation(self):
         cluster = ClusterConfig(
             num_shards=1, router=RouterConfig(max_streams_per_shard=2)
@@ -756,6 +778,20 @@ class TestSimulatedShard:
         )
         return shard, clock
 
+    @staticmethod
+    def _run_to_idle(shard, clock):
+        """Drive dispatch and completions in time order; returns every batch."""
+        batches, running = [], []
+        while True:
+            for finish_s, batch in shard.start_batches(now=clock["now"]):
+                batches.append(batch)
+                running.append((finish_s, batch))
+            if not running:
+                return batches
+            running.sort(key=lambda item: item[0])
+            clock["now"], batch = running.pop(0)
+            shard.finish_batch(batch, now=clock["now"])
+
     def test_batches_respect_per_stream_ordering(self):
         shard, clock = self._shard()
         shard.set_scale_cap(32)  # one bucket: every frame batches together
@@ -772,35 +808,54 @@ class TestSimulatedShard:
         assert shard.queue_depth == 3  # the second frames wait for task-done
 
     def test_later_frame_never_overtakes_a_scale_mismatched_earlier_one(self):
-        """Only a stream's oldest queued frame is batch-eligible.
+        """A stream's frames dispatch in order even when its scale parts ways.
 
-        Regression: stream 1's frame 0 (different scale bucket) is skipped —
-        its frame 1, which happens to match the bucket, must NOT be batched
-        in its place, or per-stream temporal ordering breaks.
+        The scale walks drift apart, so batches form from one bucket while
+        other streams' heads wait in another; no stream's later frame may run
+        in their place.
         """
-        shard, _ = self._shard(max_batch_size=4)
-        shard.open_stream(0)
-        shard.open_stream(1)
-        from repro.cluster.simulation import _SimFrame
+        shard, clock = self._shard(max_batch_size=4, num_workers=2)
+        for stream in range(6):
+            shard.open_stream(stream)
+        for index in range(8):
+            for stream in range(6):
+                assert shard.admit(stream, index, now=0.0)
+        batches = self._run_to_idle(shard, clock)
+        dispatched: dict[int, list[int]] = {}
+        for batch in batches:
+            assert len({frame.stream_id for frame in batch}) == len(batch)
+            assert len({frame.scale for frame in batch}) == 1
+            for frame in batch:
+                dispatched.setdefault(frame.stream_id, []).append(frame.frame_index)
+        assert dispatched == {stream: list(range(8)) for stream in range(6)}
+        # The walks did fragment the buckets, so the ordering was at stake.
+        assert len({batch[0].scale for batch in batches}) > 1
+        assert shard.idle and shard.metrics.completed == 48
 
-        shard._queue.extend(
-            [
-                _SimFrame(stream_id=0, frame_index=0, arrival_s=0.0, deadline_s=None, scale=96),
-                _SimFrame(stream_id=1, frame_index=0, arrival_s=0.1, deadline_s=None, scale=128),
-                _SimFrame(stream_id=1, frame_index=1, arrival_s=0.2, deadline_s=None, scale=96),
-            ]
+    def test_block_holds_the_rest_outside_the_scheduler(self):
+        shard, clock = self._shard(
+            backpressure="block", queue_capacity=2, max_batch_size=1
         )
-        started = shard.start_batches(now=0.3)
-        (_, batch) = started[0]
-        assert [(f.stream_id, f.frame_index) for f in batch] == [(0, 0)]
-        # Stream 1's head (frame 0) is still first in the surviving queue.
-        assert [(f.stream_id, f.frame_index) for f in shard._queue] == [(1, 0), (1, 1)]
+        shard.open_stream(0)
+        for index in range(5):
+            assert shard.admit(0, index, now=0.0)  # lossless: nothing refused
+        assert shard.scheduler.depth == 2  # the scheduler holds its capacity
+        assert shard.queue_depth == 5  # the blocked rest is backlog, not lost
+        batches = self._run_to_idle(shard, clock)
+        assert [batch[0].frame_index for batch in batches] == [0, 1, 2, 3, 4]
+        # Latency counts from arrival, not from when the backlog let it in.
+        assert all(batch[0].enqueue_time == 0.0 for batch in batches)
+        latest = max(shard.recent_latency(10).samples_s)
+        assert latest == pytest.approx(clock["now"])
+        assert shard.metrics.completed == 5 and shard.metrics.snapshot().shed == 0
 
     def test_scale_cap_floor_is_ladder_minimum(self):
         shard, _ = self._shard()
         shard.open_stream(0)
         shard.set_scale_cap(1)  # absurd cap: clamps to ladder min, not below
-        assert shard._effective_scale(128) == min(ADA.regressor_scales)
+        shard.admit(0, 0, now=0.0)
+        ((_, batch),) = shard.start_batches(now=0.0)
+        assert batch[0].scale == min(ADA.regressor_scales)
 
     def test_occupancy_signal(self):
         shard, _ = self._shard()

@@ -557,6 +557,9 @@ class TestProcessModeEndToEnd:
         actions = [action.action for action in report.timeline]
         for expected in ("fault", "crash", "migrate", "respawn"):
             assert expected in actions
+        # The SIGKILLed child is reaped before its exit status is read.
+        crash_action = next(a for a in report.timeline if a.action == "crash")
+        assert "exitcode -9" in crash_action.reason, crash_action.reason
         # Conservation: every submitted frame reached exactly one terminal state.
         assert report.submitted == report.completed + report.shed
 

@@ -155,6 +155,59 @@ class TestFrameScheduler:
         batch = scheduler.next_batch(timeout=0.1)
         assert [r.stream_id for r in batch] == [1]
 
+    def _fill_wait_scheduler(self, now: list[float]) -> FrameScheduler:
+        """Stream 0 in flight on a fake clock, so a fill wait can apply."""
+        scheduler = FrameScheduler(
+            queue_capacity=16, max_batch_size=3, batch_wait_s=0.002, clock=lambda: now[0]
+        )
+        scheduler.submit(_request(0, 0, 64, enqueue_time=now[0]))
+        batch, retry_at = scheduler.form_batch()  # no stream busy: goes at once
+        assert [r.stream_id for r in batch] == [0] and retry_at is None
+        return scheduler
+
+    def test_fill_wait_holds_a_batch_that_takes_every_ready_head(self):
+        now = [10.0]
+        scheduler = self._fill_wait_scheduler(now)
+        scheduler.submit(_request(1, 0, 64, enqueue_time=now[0]))
+        deadline = 10.0 + scheduler.batch_wait_s
+        assert scheduler.form_batch() == ([], deadline)
+        now[0] = 10.001  # the wait runs from the first look, not this one
+        assert scheduler.form_batch(deadline) == ([], deadline)
+        now[0] = deadline
+        batch, retry_at = scheduler.form_batch(deadline)
+        assert [r.stream_id for r in batch] == [1] and retry_at is None
+        assert batch[0].dispatch_time == deadline
+
+    def test_fill_wait_ends_when_the_bucket_fills(self):
+        now = [10.0]
+        scheduler = self._fill_wait_scheduler(now)
+        for stream in (1, 2):
+            scheduler.submit(_request(stream, 0, 64, enqueue_time=now[0]))
+        batch, deadline = scheduler.form_batch()
+        assert batch == [] and deadline is not None
+        scheduler.submit(_request(3, 0, 64, enqueue_time=now[0]))
+        batch, retry_at = scheduler.form_batch(deadline)  # full before the deadline
+        assert [r.stream_id for r in batch] == [1, 2, 3] and retry_at is None
+
+    def test_fill_wait_is_work_conserving(self):
+        now = [10.0]
+        scheduler = self._fill_wait_scheduler(now)
+        scheduler.submit(_request(1, 0, 64, enqueue_time=10.0))
+        scheduler.submit(_request(2, 0, 48, enqueue_time=10.5))
+        # Another bucket holds a ready head: no worker idles in a fill wait.
+        batch, retry_at = scheduler.form_batch()
+        assert [r.stream_id for r in batch] == [1] and retry_at is None
+
+    def test_next_batch_sleeps_out_the_fill_wait(self):
+        scheduler = FrameScheduler(queue_capacity=16, max_batch_size=4, batch_wait_s=0.02)
+        scheduler.submit(_request(0, 0, 64))
+        assert len(scheduler.next_batch(timeout=0.1)) == 1
+        scheduler.submit(_request(1, 0, 64))
+        start = time.monotonic()
+        batch = scheduler.next_batch(timeout=0.0)  # the fill wait is not a timeout
+        assert [r.stream_id for r in batch] == [1]
+        assert time.monotonic() - start >= 0.015
+
     def test_close_cancels_pending(self):
         scheduler = FrameScheduler(queue_capacity=8, batch_wait_s=0.0)
         request = _request(0, 0, 64)
