@@ -118,9 +118,7 @@ class SimulatedShard:
         self._backlog: deque[FrameRequest] = deque()
         self._streams: dict[int, _SimStream] = {}
         self._idle_workers = serving.num_workers
-        #: fill-wait deadline of the batch an idle worker is holding, if any;
-        #: the event loop wakes the shard then
-        self.retry_at: float | None = None
+        self._fill_deadline: float | None = None  # of the batch waiting to fill
         self.accepting = True
         self.scale_cap: int | None = None
         self.baseline_batch_size = serving.max_batch_size
@@ -207,25 +205,31 @@ class SimulatedShard:
         return self.scheduler.submit(request)
 
     # -- dispatch ---------------------------------------------------------------
-    def start_batches(self, now: float) -> list[tuple[float, list[FrameRequest]]]:
-        """Dispatch due micro-batches onto idle workers; returns (finish, batch).
+    def start_batches(
+        self, now: float
+    ) -> tuple[list[tuple[float, list[FrameRequest]]], float | None]:
+        """Dispatch due micro-batches onto idle workers.
 
-        Afterwards :attr:`retry_at` holds the fill-wait deadline of a batch
-        that is waiting to fill (None when there is none).
+        Returns the ``(finish time, batch)`` pairs started and, when this call
+        began a fill wait, its deadline: the time to call again.
         """
         started: list[tuple[float, list[FrameRequest]]] = []
-        self._unblock()
+        waiting_since = self._fill_deadline
         while self._idle_workers > 0:
-            batch, self.retry_at = self.scheduler.form_batch(self.retry_at)
+            self._unblock()
+            batch, self._fill_deadline = self.scheduler.form_batch(self._fill_deadline)
             if not batch:
+                if self._backlog and self.scheduler.depth < self.scheduler.queue_capacity:
+                    continue  # expiry made room: the blocked submitter resumes
                 break
             self._idle_workers -= 1
-            self._unblock()
             scale = batch[0].resolve_scale()
             for request in batch:
                 request.scale = scale  # the cap in force at dispatch executes
             started.append((now + self.model.batch_time_s(scale, len(batch)), batch))
-        return started
+        self._unblock()  # dispatch freed queue room
+        new_wait = self._fill_deadline if self._fill_deadline != waiting_since else None
+        return started, new_wait
 
     def finish_batch(self, batch: list[FrameRequest], now: float) -> None:
         """Record completions and free the worker and the batch's streams."""
@@ -259,11 +263,7 @@ class SimulatedShard:
 
     def _on_shed(self, request: FrameRequest, status: RequestStatus) -> None:
         self.metrics.on_shed(status.value)
-        tracer = active_tracer()
-        if tracer is not None and request.trace is not None:
-            tracer.instant(
-                "serving/shed", request.trace, now=self._clock(), status=status.value
-            )
+        request.trace_shed(status, now=self._clock())
 
 
 #: Event-kind dispatch order at equal timestamps: finish work before admitting
@@ -302,7 +302,6 @@ class ClusterSimulation:
         self._seq = itertools.count()
         self._outstanding_batches = 0
         self._pending_trace_events = 0
-        self._wakes: dict[int, float] = {}  # shard id -> fill-wait wake-up scheduled
         for _ in range(cluster.num_shards):
             self._add_shard()
 
@@ -390,12 +389,12 @@ class ClusterSimulation:
                 shard.close_stream(event.stream_id)
 
     def _start_work(self, shard: SimulatedShard) -> None:
-        for finish_s, batch in shard.start_batches(self.now):
+        started, wake_at = shard.start_batches(self.now)
+        for finish_s, batch in started:
             self._outstanding_batches += 1
             self._push(finish_s, _FINISH, (shard, batch))
-        if shard.retry_at is not None and self._wakes.get(shard.shard_id) != shard.retry_at:
-            self._wakes[shard.shard_id] = shard.retry_at
-            self._push(shard.retry_at, _WAKE, shard)
+        if wake_at is not None:
+            self._push(wake_at, _WAKE, shard)
 
     def _autoscale_step(self) -> None:
         desired = self.autoscaler.desired_shards(self.live_shards, self.now)

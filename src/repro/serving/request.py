@@ -141,6 +141,12 @@ class FrameRequest:
             **attrs,
         )
 
+    def trace_shed(self, status: RequestStatus, now: float | None = None) -> None:
+        """Emit the frame's shed instant; no-op unless the frame is traced."""
+        tracer = active_tracer()
+        if tracer is not None and self.trace is not None:
+            tracer.instant("serving/shed", self.trace, now=now, status=status.value)
+
     def resolve(self, result: FrameResult) -> None:
         """Resolve the future, tolerating an externally cancelled request."""
         try:

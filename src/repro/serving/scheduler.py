@@ -232,52 +232,9 @@ class FrameScheduler:
         Dispatched streams are marked busy until :meth:`task_done`.
         """
         with self._cond:
-            self._expire_overdue()
-            ready = self._ready_heads()
-            if not ready:
-                return [], None
-            # Deadline-aware bucket choice: serve the scale bucket whose head
-            # is most urgent (earliest deadline, enqueue order as tie-break).
-            ready.sort(key=self._urgency)
-            bucket_scale = ready[0].resolve_scale()
-            batch = [r for r in ready if r.resolve_scale() == bucket_scale]
-            batch = batch[: self.max_batch_size]
-            now = self._clock()
-            if (
-                self.batch_wait_s > 0
-                and not self._closed
-                and len(batch) == len(ready) < self.max_batch_size
-                and any(state.busy for state in self._streams.values())
-            ):
-                if fill_deadline is None:
-                    fill_deadline = now + self.batch_wait_s
-                if now < fill_deadline:
-                    return [], fill_deadline
-            for request in batch:
-                state = self._streams[request.stream_id]
-                state.pending.popleft()
-                state.busy = True
-                self._size -= 1
-                request.dispatch_time = now
-            tracer = active_tracer()
-            traced = [] if tracer is None else [r.trace for r in batch if r.trace is not None]
-            if traced:
-                # Assembly window: the batch cannot form before its last
-                # member arrives; what follows until dispatch is the fill wait.
-                arrived = max(r.enqueue_time for r in batch)
-                tracer.emit_batch_span(
-                    "serving/batch_assembly",
-                    traced,
-                    start_s=min(arrived, now),
-                    duration_s=max(now - arrived, 0.0),
-                    batch_size=len(batch),
-                )
-            if self._on_depth is not None:
-                self._on_depth(self._size)
-            if self._on_batch is not None:
-                self._on_batch(len(batch))
-            self._cond.notify_all()
-            return batch, None
+            batch, retry_at = self._form_locked(fill_deadline)
+        self._trace_assembly(batch)
+        return batch, retry_at
 
     def next_batch(self, timeout: float | None = 0.05) -> list[FrameRequest] | None:
         """Form the next micro-batch, waiting up to ``timeout`` for work.
@@ -291,9 +248,9 @@ class FrameScheduler:
         fill_deadline: float | None = None
         with self._cond:
             while True:
-                batch, fill_deadline = self.form_batch(fill_deadline)
+                batch, fill_deadline = self._form_locked(fill_deadline)
                 if batch:
-                    return batch
+                    break
                 if fill_deadline is not None:
                     self._cond.wait(fill_deadline - self._clock())
                     continue
@@ -303,6 +260,8 @@ class FrameScheduler:
                 if remaining is not None and remaining <= 0:
                     return []
                 self._cond.wait(remaining)
+        self._trace_assembly(batch)
+        return batch
 
     def task_done(self, stream_id: int) -> None:
         """Mark a dispatched frame finished; the stream's next frame is ready."""
@@ -324,6 +283,62 @@ class FrameScheduler:
                         self._shed(state.pending.popleft(), RequestStatus.CANCELLED)
                         self._size -= 1
             self._cond.notify_all()
+
+    # -- internals (call with the lock held) --------------------------------
+    def _form_locked(
+        self, fill_deadline: float | None
+    ) -> tuple[list[FrameRequest], float | None]:
+        self._expire_overdue()
+        ready = self._ready_heads()
+        if not ready:
+            return [], None
+        # Deadline-aware bucket choice: serve the scale bucket whose head
+        # is most urgent (earliest deadline, enqueue order as tie-break).
+        ready.sort(key=self._urgency)
+        bucket_scale = ready[0].resolve_scale()
+        batch = [r for r in ready if r.resolve_scale() == bucket_scale]
+        batch = batch[: self.max_batch_size]
+        now = self._clock()
+        if (
+            self.batch_wait_s > 0
+            and not self._closed
+            and len(batch) == len(ready) < self.max_batch_size
+            and any(state.busy for state in self._streams.values())
+        ):
+            if fill_deadline is None:
+                fill_deadline = now + self.batch_wait_s
+            if now < fill_deadline:
+                return [], fill_deadline
+        for request in batch:
+            state = self._streams[request.stream_id]
+            state.pending.popleft()
+            state.busy = True
+            self._size -= 1
+            request.dispatch_time = now
+        if self._on_depth is not None:
+            self._on_depth(self._size)
+        if self._on_batch is not None:
+            self._on_batch(len(batch))
+        self._cond.notify_all()
+        return batch, None
+
+    def _trace_assembly(self, batch: list[FrameRequest]) -> None:
+        # Called after the lock is released: a span sink may write to disk.
+        tracer = active_tracer()
+        traced = [] if tracer is None else [r.trace for r in batch if r.trace is not None]
+        if not traced:
+            return
+        # Assembly window: the batch cannot form before its last member
+        # arrives; what follows until dispatch is the fill wait.
+        dispatch = batch[0].dispatch_time
+        arrived = max(r.enqueue_time for r in batch)
+        tracer.emit_batch_span(
+            "serving/batch_assembly",
+            traced,
+            start_s=min(arrived, dispatch),
+            duration_s=max(dispatch - arrived, 0.0),
+            batch_size=len(batch),
+        )
 
     # -- internals (call with the lock held) --------------------------------
     def _ready_heads(self) -> list[FrameRequest]:

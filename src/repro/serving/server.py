@@ -284,10 +284,7 @@ class InferenceServer:
     def _on_shed(self, request: FrameRequest, status: RequestStatus) -> None:
         """Scheduler shed a queued frame (drop/expire/reject/cancel)."""
         self.metrics.on_shed(status.value)
-        if request.trace is not None:
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.instant("serving/shed", request.trace, status=status.value)
+        request.trace_shed(status)
         if request.session is not None:
             request.session.on_shed(request)
         self._finish_one()

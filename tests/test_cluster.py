@@ -465,6 +465,33 @@ class TestSimulation:
         latencies = sorted(simulation.shards[0].recent_latency(10).samples_s)
         assert latencies == pytest.approx([service_s, SERVING.batch_wait_ms / 1000.0 + service_s])
 
+    def test_block_backlog_resumes_when_expiry_frees_room(self):
+        from repro.cluster.scenarios import TraceEvent
+        from repro.cluster.simulation import ClusterSimulation
+
+        trace = WorkloadTrace(
+            [TraceEvent(time_s=0.0, stream_id=0, kind="open")]
+            + [
+                TraceEvent(time_s=0.0, stream_id=0, kind="frame", frame_index=index)
+                for index in range(5)
+            ]
+        )
+        model = ServiceModel(frame_ms=(7.8,) * 5, overhead_ms=0.2)  # 8 ms a frame
+        serving = ServingConfig(
+            num_workers=1, backpressure="block", queue_capacity=2, deadline_ms=10.0
+        )
+        cluster = ClusterConfig(num_shards=1, governor=GovernorConfig(enabled=False))
+        simulation = ClusterSimulation(cluster, serving, model, ADA.regressor_scales)
+        simulation.run(trace)
+        # At 16 ms frames 2 and 3 expire; frame 4 must leave the backlog then
+        # (and expire too) rather than strand with no event left to move it.
+        (shard,) = simulation.shards
+        snapshot = shard.metrics.snapshot()
+        assert snapshot.submitted == 5
+        assert snapshot.completed + snapshot.shed == snapshot.submitted
+        assert (snapshot.completed, snapshot.shed) == (2, 3)
+        assert shard.idle
+
     def test_router_cap_rejects_streams_in_simulation(self):
         cluster = ClusterConfig(
             num_shards=1, router=RouterConfig(max_streams_per_shard=2)
@@ -783,7 +810,8 @@ class TestSimulatedShard:
         """Drive dispatch and completions in time order; returns every batch."""
         batches, running = [], []
         while True:
-            for finish_s, batch in shard.start_batches(now=clock["now"]):
+            started, _ = shard.start_batches(now=clock["now"])
+            for finish_s, batch in started:
                 batches.append(batch)
                 running.append((finish_s, batch))
             if not running:
@@ -800,7 +828,7 @@ class TestSimulatedShard:
         for index in range(2):
             for stream in range(3):
                 shard.admit(stream, index, now=0.0)
-        started = shard.start_batches(now=0.0)
+        started, _ = shard.start_batches(now=0.0)
         assert len(started) == 1  # one worker
         _, batch = started[0]
         # Three distinct streams — a stream never batches with itself.
@@ -854,7 +882,7 @@ class TestSimulatedShard:
         shard.open_stream(0)
         shard.set_scale_cap(1)  # absurd cap: clamps to ladder min, not below
         shard.admit(0, 0, now=0.0)
-        ((_, batch),) = shard.start_batches(now=0.0)
+        ((_, batch),), _ = shard.start_batches(now=0.0)
         assert batch[0].scale == min(ADA.regressor_scales)
 
     def test_occupancy_signal(self):

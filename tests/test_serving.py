@@ -208,6 +208,36 @@ class TestFrameScheduler:
         assert [r.stream_id for r in batch] == [1]
         assert time.monotonic() - start >= 0.015
 
+    def test_batch_assembly_span_is_emitted_after_the_lock_is_released(self, monkeypatch):
+        from repro.observability.trace import Tracer
+
+        scheduler = FrameScheduler(queue_capacity=8, batch_wait_s=0.0)
+        lock_free = []
+
+        def probe_lock() -> None:
+            # A span sink may write to disk; a submitter must not wait on it.
+            probe = threading.Thread(target=lambda: scheduler.depth)
+            probe.start()
+            probe.join(timeout=1.0)
+            lock_free.append(not probe.is_alive())
+
+        with Tracer() as tracer:
+            emit = tracer._emit
+
+            def spy(event) -> None:
+                if event.name == "serving/batch_assembly":
+                    probe_lock()
+                emit(event)
+
+            monkeypatch.setattr(tracer, "_emit", spy)
+            for stream, scale in ((0, 64), (1, 48)):  # two buckets, two batches
+                request = _request(stream, 0, scale)
+                request.trace = tracer.begin_trace(stream_id=stream, frame_index=0)
+                scheduler.submit(request)
+            assert len(scheduler.form_batch()[0]) == 1
+            assert len(scheduler.next_batch(timeout=0.1)) == 1
+        assert lock_free == [True, True]
+
     def test_close_cancels_pending(self):
         scheduler = FrameScheduler(queue_capacity=8, batch_wait_s=0.0)
         request = _request(0, 0, 64)
