@@ -25,10 +25,10 @@ workload over real OS processes:
   usable cores (≥1.0x) and must scale on ≥4 (≥1.5x).  Structural gates
   (lossless, zero crashes, identical frame populations) hold everywhere.
 * **Fleet-tracing overhead** — the 2-shard process fleet twice per repeat,
-  untraced vs fully traced (child span shipping + metric federation over the
-  frame pipes), legs interleaved and the median taken.  The gate: tracing-on
-  wall fps ≥ 0.90× tracing-off, with zero spans shed at the IPC export
-  buffers (asserted unconditionally — losslessness is noise-free).
+  untraced vs fully traced (child span shipping over the frame pipes), legs
+  interleaved and the median taken.  The gate: tracing-on wall fps ≥ 0.90×
+  tracing-off, with zero spans shed at the IPC export buffers (asserted
+  unconditionally — losslessness is noise-free).
 
 Results land in ``benchmarks/results/BENCH_cluster_scaling.json``; the CI
 ``cluster-smoke`` job validates the artefact against the bench schema and
@@ -217,11 +217,11 @@ def test_cluster_scaling_and_slo(vid_bundle):
         }
 
     # -- experiment 4: fleet-tracing overhead in process mode ------------------
-    # The distributed tracer batches child spans over the telemetry cadence and
-    # federates metric deltas across the same pipes that carry frames, so the
-    # claim to defend is that a fully traced fleet serves frames at (nearly)
-    # the untraced rate.  Legs are interleaved and the median of the
-    # per-repeat ratios taken, like the single-process telemetry A/B in
+    # The distributed tracer batches child spans over the telemetry cadence
+    # across the same pipes that carry frames, so the claim to defend is that
+    # a fully traced fleet serves frames at (nearly) the untraced rate.  Legs
+    # are interleaved and the median of the per-repeat ratios taken, like the
+    # single-process telemetry A/B in
     # BENCH_serving, so host speed drift cancels inside a pair.  Seven
     # repeats: with BLAS pinned the 2-shard fleet saturates both cores, so
     # tracing (child spans + the parent's merge) costs a real ~5 % while

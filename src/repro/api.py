@@ -12,8 +12,8 @@ reachable from here, in declarative form:
 * :class:`Server` — stand up the multi-stream inference server over a trained
   bundle and replay synthetic load (``Server.from_config(...)``), returning a
   typed :class:`ServeReport`;
-* the component registries (:data:`DATASETS`, :data:`DETECTORS`,
-  :data:`ACCELERATORS`, …) and :func:`build_from_cfg` for
+* the component registries (:data:`DATASETS`, :data:`ACCELERATORS`,
+  :data:`ROUTING_POLICIES`, …) and :func:`build_from_cfg` for
   ``{"type": name, **kwargs}`` specs.
 
 Importing this module loads every built-in component module, so all registry
@@ -51,15 +51,10 @@ from repro.core.pipeline import (
 from repro.registries import (
     ACCELERATORS,
     ARRIVAL_PATTERNS,
-    BACKBONES,
-    CLUSTER_AUTOSCALERS,
-    CLUSTER_GOVERNORS,
     CLUSTER_SCENARIOS,
     DATASETS,
-    DETECTORS,
     EXPERIMENT_PRESETS,
     ROUTING_POLICIES,
-    SCALE_REGRESSORS,
     SCHEDULER_POLICIES,
     build_from_cfg,
     load_components,
@@ -89,16 +84,11 @@ from repro.serving.session import StreamResult  # noqa: E402
 __all__ = [
     "ACCELERATORS",
     "ARRIVAL_PATTERNS",
-    "BACKBONES",
-    "CLUSTER_AUTOSCALERS",
-    "CLUSTER_GOVERNORS",
     "CLUSTER_SCENARIOS",
     "DATASETS",
-    "DETECTORS",
     "EXPERIMENT_PRESETS",
     "METHODS",
     "ROUTING_POLICIES",
-    "SCALE_REGRESSORS",
     "SCHEDULER_POLICIES",
     "Cluster",
     "ClusterConfig",

@@ -42,7 +42,6 @@ from repro.cluster.service_model import ServiceModel
 from repro.cluster.simulation import ClusterSimulation
 from repro.config import AdaScaleConfig, ServingConfig
 from repro.observability.trace import active_tracer
-from repro.registries import CLUSTER_AUTOSCALERS, CLUSTER_GOVERNORS
 from repro.serving.loadgen import round_robin_streams
 
 __all__ = ["ClusterController", "fleet_capacity_fps", "run_scaling_suite", "run_slo_suite"]
@@ -51,15 +50,13 @@ __all__ = ["ClusterController", "fleet_capacity_fps", "run_scaling_suite", "run_
 def _build_governor(cluster: ClusterConfig, ladder: tuple[int, ...]) -> ScaleGovernor | None:
     if not cluster.governor.enabled:
         return None
-    factory = CLUSTER_GOVERNORS.get(cluster.governor.kind)
-    return factory(ladder=ladder, config=cluster.governor)
+    return ScaleGovernor(ladder=ladder, config=cluster.governor)
 
 
 def _build_autoscaler(cluster: ClusterConfig) -> Autoscaler | None:
     if not cluster.autoscaler.enabled:
         return None
-    factory = CLUSTER_AUTOSCALERS.get(cluster.autoscaler.kind)
-    return factory(config=cluster.autoscaler)
+    return Autoscaler(config=cluster.autoscaler)
 
 
 class ClusterController:

@@ -1,23 +1,21 @@
 """The adaptive control plane: SLO feedback and occupancy autoscaling.
 
-Two registered policies close the loop between observed serving telemetry and
-the knobs the rest of the stack exposes:
+Two policies close the loop between observed serving telemetry and the
+knobs the rest of the stack exposes:
 
-* :class:`ScaleGovernor` (``CLUSTER_GOVERNORS["slo-scale"]``) — per-shard
-  quality control.  It reads each shard's *rolling* p95 end-to-end latency
-  and queue depth and walks a degradation ladder: first the AdaScale scale
-  cap steps down rung by rung (service time tracks resized image area, so one
-  rung is a large capacity gain at a small accuracy cost — the paper's
-  trade-off turned into a runtime actuator), then the micro-batch bound
-  shrinks toward ``min_batch_size``.  Restoration is deliberately slower than
-  degradation (`release_steps` consecutive calm periods), the classic
-  asymmetric AIMD-style loop that avoids oscillating on its own latency
-  echo.
-* :class:`Autoscaler` (``CLUSTER_AUTOSCALERS["occupancy"]``) — cluster-width
-  control.  It steers the mean shard occupancy (offered work per unit of
-  service capacity) toward a target by requesting shard adds above
-  ``scale_up_at`` and drains below ``scale_down_at``, one step per decision
-  with a cooldown.
+* :class:`ScaleGovernor` — per-shard quality control.  It reads each
+  shard's *rolling* p95 end-to-end latency and queue depth and walks a
+  degradation ladder: first the AdaScale scale cap steps down rung by rung
+  (service time tracks resized image area, so one rung is a large capacity
+  gain at a small accuracy cost — the paper's trade-off turned into a
+  runtime actuator), then the micro-batch bound shrinks toward
+  ``min_batch_size``.  Restoration is deliberately slower than degradation
+  (`release_steps` consecutive calm periods), the classic asymmetric
+  AIMD-style loop that avoids oscillating on its own latency echo.
+* :class:`Autoscaler` — cluster-width control.  It steers the mean shard
+  occupancy (offered work per unit of service capacity) toward a target by
+  requesting shard adds above ``scale_up_at`` and drains below
+  ``scale_down_at``, one step per decision with a cooldown.
 
 Both operate on a narrow *control view* of a shard (rolling p95, queue depth,
 occupancy, the two setters), so the same policy instances drive real
@@ -35,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import AutoscalerConfig, GovernorConfig
-from repro.observability.metrics import get_registry
 from repro.observability.trace import active_tracer
-from repro.registries import CLUSTER_AUTOSCALERS, CLUSTER_GOVERNORS
 
 __all__ = ["GovernorAction", "ScaleGovernor", "Autoscaler"]
 
@@ -73,7 +69,6 @@ class _ShardLoopState:
     calm_streak: int = 0
 
 
-@CLUSTER_GOVERNORS.register("slo-scale")
 class ScaleGovernor:
     """Holds each shard's rolling p95 under target by degrading AdaScale scale."""
 
@@ -81,20 +76,14 @@ class ScaleGovernor:
         self,
         ladder: tuple[int, ...] | list[int],
         config: GovernorConfig | None = None,
-        **overrides: object,
     ) -> None:
-        base = config if config is not None else GovernorConfig()
-        self.config = base.with_(**overrides) if overrides else base
+        self.config = config if config is not None else GovernorConfig()
         self.config.validate()
         self.ladder = tuple(int(s) for s in ladder)
         if not self.ladder or self.ladder != tuple(sorted(self.ladder, reverse=True)):
             raise ValueError(f"ladder must be non-empty descending scales, got {ladder}")
         self._states: dict[int, _ShardLoopState] = {}
         self.actions: list[GovernorAction] = []
-        self._action_counter = get_registry().counter(
-            "repro_cluster_governor_actions_total",
-            help="Control decisions taken by the SLO governor, by action and knob",
-        )
 
     # -- the control step ----------------------------------------------------
     def step(self, shards, now: float) -> list[GovernorAction]:
@@ -149,14 +138,10 @@ class ScaleGovernor:
                         taken.append(action)
             else:
                 state.calm_streak = 0
-        if taken:
-            tracer = active_tracer()
+        tracer = active_tracer()
+        if tracer is not None:
             for action in taken:
-                self._action_counter.labels(
-                    action=action.action, knob=action.knob
-                ).inc()
-                if tracer is not None:
-                    tracer.decision(action)
+                tracer.decision(action)
         self.actions.extend(taken)
         return taken
 
@@ -239,15 +224,11 @@ class ScaleGovernor:
         return None
 
 
-@CLUSTER_AUTOSCALERS.register("occupancy")
 class Autoscaler:
     """Steers the live shard count toward a target mean occupancy."""
 
-    def __init__(
-        self, config: AutoscalerConfig | None = None, **overrides: object
-    ) -> None:
-        base = config if config is not None else AutoscalerConfig()
-        self.config = base.with_(**overrides) if overrides else base
+    def __init__(self, config: AutoscalerConfig | None = None) -> None:
+        self.config = config if config is not None else AutoscalerConfig()
         self.config.validate()
         self._last_action_s = float("-inf")
 

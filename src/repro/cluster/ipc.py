@@ -60,7 +60,6 @@ __all__ = [
     "CloseStream",
     "Done",
     "Hello",
-    "MetricFamilies",
     "OpenStream",
     "SetMaxBatchSize",
     "SetScaleCap",
@@ -387,19 +386,20 @@ class Done:
 class Telemetry:
     """Child → parent: periodic control-plane snapshot (deltas, not totals).
 
-    ``batch_sizes`` / ``queue_depths`` carry only the observations since the
-    previous snapshot; the parent replays them into its shard-local
-    :class:`~repro.serving.metrics.ServerMetrics`, which stays the single
-    source the router/governor/report read.
+    ``queue_depth``, ``scale_cap`` and ``max_batch_size`` are the child's
+    current levels.  ``batch_sizes`` / ``queue_depths`` carry only the
+    observations since the previous snapshot; the parent replays them into
+    its shard-local :class:`~repro.serving.metrics.ServerMetrics`, the one
+    metrics accumulator the governor and the cluster report read.  Frame
+    counters and latencies need no field here: the parent counts them from
+    ``Done`` messages.
     """
 
     queue_depth: int = 0
-    outstanding: int = 0
     scale_cap: int | None = None
     max_batch_size: int = 0
     batch_sizes: tuple[int, ...] = field(default=())
     queue_depths: tuple[int, ...] = field(default=())
-    final: bool = False
 
 
 #: Number of clock probes the parent fires at handshake.  The offset estimate
@@ -446,19 +446,3 @@ class Spans:
 
     events: tuple[dict, ...] = field(default=())
     dropped: int = 0
-    final: bool = False
-
-
-@dataclass(frozen=True)
-class MetricFamilies:
-    """Child → parent: metric-family deltas since the previous report.
-
-    ``families`` maps family name to ``{"type", "help", "cells": [...]}``
-    where each cell carries its label dict plus an ``inc`` (counter delta),
-    ``set`` (gauge level) or ``count``/``sum`` (histogram delta) payload —
-    see :func:`repro.observability.metrics.diff_snapshots`.  The parent
-    merges them into its registry under shard/pid/generation labels.
-    """
-
-    families: dict = field(default_factory=dict)
-    final: bool = False

@@ -63,7 +63,6 @@ from repro.cluster.ipc import (
     FrameError,
     FramedChannel,
     Hello,
-    MetricFamilies,
     OpenStream,
     PipeStream,
     SetMaxBatchSize,
@@ -76,7 +75,6 @@ from repro.cluster.ipc import (
 from repro.cluster.replica import ReplicaSpec
 from repro.config import ServingConfig, TelemetryConfig
 from repro.detection.rfcn import DetectionResult
-from repro.observability.metrics import MetricsRegistry, diff_snapshots, get_registry
 from repro.observability.sinks import SpanExportBuffer
 from repro.observability.trace import SpanEvent, Tracer, active_tracer
 from repro.serving.metrics import ServerMetrics
@@ -110,8 +108,7 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
     (overflow sheds and counts, never blocks admission or workers), and the buffer is
     drained into batched ``Spans`` messages on the telemetry cadence — plus
     one final flush after the server stops, so crash-free shutdowns lose
-    nothing.  Metric-family deltas of the child's default registry ship the
-    same way (``MetricFamilies``).
+    nothing and the last cumulative drop count reaches the parent.
     """
     stop_requested = threading.Event()
 
@@ -177,18 +174,16 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
     batch_mark = 0
     depth_mark = 0
 
-    def _telemetry(final: bool = False) -> Telemetry:
+    def _telemetry() -> Telemetry:
         nonlocal batch_mark, depth_mark
         batch_mark, batches = metrics.batch_sizes_since(batch_mark)
         depth_mark, depths = metrics.queue_depths_since(depth_mark)
         return Telemetry(
             queue_depth=server.scheduler.depth,
-            outstanding=server.outstanding,
             scale_cap=server.scale_cap,
             max_batch_size=server.scheduler.max_batch_size,
             batch_sizes=tuple(batches),
             queue_depths=tuple(depths),
-            final=final,
         )
 
     # Child-side telemetry: the spec carries the run's TelemetryConfig, so
@@ -198,9 +193,6 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
     )
     tracer: Tracer | None = None
     span_buffer: SpanExportBuffer | None = None
-    registry = get_registry()
-    registry_mark: dict = {}
-    drops_shipped = 0
     if telemetry_config is not None and telemetry_config.enabled:
         # The parent owns the span log and ring; the export buffer is the
         # real sink here.  The local ring keeps only the latest event: a
@@ -212,38 +204,22 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
         )
         tracer.add_sink(span_buffer)
         tracer.__enter__()
-    drop_counter = registry.counter(
-        "repro_trace_span_drops_total",
-        help="Spans shed at the replica's IPC export buffer (overflow)",
-    ).labels(shard=str(spec.shard_id))
 
     def _ship_spans(final: bool = False) -> None:
-        """Drain the export buffer into batched Spans messages (off hot path)."""
-        nonlocal drops_shipped
+        """Drain the export buffer into batched Spans messages (off hot path).
+
+        The ``final`` flush sends one message even when nothing is buffered,
+        so the last cumulative drop count always reaches the parent.
+        """
         if span_buffer is None:
             return
         dropped = span_buffer.dropped
-        if dropped > drops_shipped:
-            drop_counter.inc(dropped - drops_shipped)
-            drops_shipped = dropped
         payloads = [event.to_dict() for event in span_buffer.drain()]
         if not payloads and not final:
             return
         for start in range(0, max(len(payloads), 1), SPANS_PER_MESSAGE):
             chunk = tuple(payloads[start:start + SPANS_PER_MESSAGE])
-            last = start + SPANS_PER_MESSAGE >= len(payloads)
-            _send(Spans(events=chunk, dropped=dropped, final=final and last))
-
-    def _ship_metrics(final: bool = False) -> None:
-        """Ship the registry's family deltas since the previous cadence."""
-        nonlocal registry_mark
-        if telemetry_config is None:
-            return
-        current = registry.snapshot()
-        delta = diff_snapshots(registry_mark, current)
-        registry_mark = current
-        if delta or final:
-            _send(MetricFamilies(families=delta, final=final))
+            _send(Spans(events=chunk, dropped=dropped))
 
     _send(Hello(shard_id=spec.shard_id, pid=os.getpid()))
     # Clock handshake: the parent fires CLOCK_PROBES pings right after Hello
@@ -308,14 +284,12 @@ def replica_main(spec: ReplicaSpec, connection, metrics_interval_s: float = 0.2)
                 next_report = now + metrics_interval_s
                 _send(_telemetry())
                 _ship_spans()
-                _ship_metrics()
     finally:
         # Stop first: cancelled/served futures fire their callbacks, so every
         # Done — and every span those completions emit — reaches the parent
-        # before the final telemetry/span/metrics flush.
+        # before the final telemetry/span flush.
         server.stop(cancel_pending=cancel_pending)
-        _send(_telemetry(final=True))
-        _ship_metrics(final=True)
+        _send(_telemetry())
         _ship_spans(final=True)
         if tracer is not None:
             tracer.__exit__(None, None, None)
@@ -335,9 +309,7 @@ class ProcessReplica:
     Per-frame results resolve the same ``FrameRequest`` futures an
     :class:`~repro.serving.InferenceServer` returns.  ``metrics`` accepts an
     existing :class:`~repro.serving.metrics.ServerMetrics` so a respawned shard keeps
-    accumulating into its predecessor's counters; ``registry`` (default: the
-    process-wide one) receives the child's shipped metric-family deltas under
-    ``shard``/``pid``/``generation`` labels, and ``generation`` counts
+    accumulating into its predecessor's counters, and ``generation`` counts
     respawns of the same shard id.
 
     On the child's ``Hello`` the proxy fires :data:`CLOCK_PROBES` clock pings
@@ -353,7 +325,6 @@ class ProcessReplica:
         spec: ReplicaSpec,
         procpool: ProcessPoolConfig | None = None,
         metrics: ServerMetrics | None = None,
-        registry: MetricsRegistry | None = None,
         generation: int = 0,
     ) -> None:
         self.spec = spec
@@ -362,7 +333,6 @@ class ProcessReplica:
         self.serving = ServingConfig.from_dict(spec.serving)
         self.baseline_batch_size = self.serving.max_batch_size
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self.registry = registry if registry is not None else get_registry()
         self.generation = int(generation)
         self.clock_offset_s: float | None = None
         self.clock_uncertainty_s: float | None = None
@@ -390,7 +360,6 @@ class ProcessReplica:
         self._stream_scale: dict[int, int] = {}
         self._send_lock = threading.Lock()
         self._queue_depth = 0
-        self._child_outstanding = 0
         self._scale_cap: int | None = None
         self._max_batch_size = self.serving.max_batch_size
 
@@ -451,7 +420,7 @@ class ProcessReplica:
                 self._process.join(2.0)
         # Join the reader *before* closing the channel: the child's exit
         # guarantees EOF, and the reader must drain the buffered final
-        # telemetry/span/metric flush rather than have the pipe yanked away.
+        # telemetry/span flush rather than have the pipe yanked away.
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(2.0)
         if self._channel is not None:
@@ -478,19 +447,6 @@ class ProcessReplica:
                 message = self._channel.recv()
                 if isinstance(message, Hello):
                     self.pid = message.pid
-                    if self.spec.telemetry:
-                        # Pre-register the drop counter under this replica's
-                        # fleet labels: the child only ships *changed* cells,
-                        # so a lossless run would otherwise never export the
-                        # zero that proves it lossless.
-                        self.registry.counter(
-                            "repro_trace_span_drops_total",
-                            help="Spans shed at the replica's IPC export buffer (overflow)",
-                        ).labels(
-                            shard=str(self.shard_id),
-                            pid=str(message.pid),
-                            generation=str(self.generation),
-                        )
                     # Clock probes go out *before* accepting flips, so they
                     # hit the child's dedicated handshake loop back-to-back
                     # (minimum RTT) and precede any control/data traffic.
@@ -506,8 +462,6 @@ class ProcessReplica:
                     self._on_clock_pong(message)
                 elif isinstance(message, Spans):
                     self._on_spans(message)
-                elif isinstance(message, MetricFamilies):
-                    self._on_metric_families(message)
         except FrameError:
             pass  # EOF / truncation: orderly close or a crash — decided below
         finally:
@@ -582,16 +536,6 @@ class ProcessReplica:
             )
         )
 
-    def _on_metric_families(self, message: MetricFamilies) -> None:
-        self.registry.merge_delta(
-            message.families,
-            extra_labels={
-                "shard": str(self.shard_id),
-                "pid": str(self.pid if self.pid is not None else -1),
-                "generation": str(self.generation),
-            },
-        )
-
     @property
     def span_drops(self) -> int:
         """Spans the child shed at its export buffer (cumulative; 0 = lossless)."""
@@ -649,7 +593,6 @@ class ProcessReplica:
     def _on_telemetry(self, message: Telemetry) -> None:
         with self._turn:
             self._queue_depth = int(message.queue_depth)
-            self._child_outstanding = int(message.outstanding)
             self._scale_cap = message.scale_cap
             self._max_batch_size = int(message.max_batch_size)
         for size in message.batch_sizes:
@@ -965,14 +908,12 @@ class ReplicaSupervisor:
 
     def _respawn(self, shard_id: int, now: float) -> None:
         due, dead = self._respawn_at.pop(shard_id)
-        # Same spec, same parent-side metrics and registry: the respawned
-        # shard continues its predecessor's counters (per-shard reporting
-        # spans the crash) while its bumped generation keeps the fleet
-        # registry's per-process label sets distinct.
+        # Same spec, same parent-side metrics: the respawned shard continues
+        # its predecessor's counters (per-shard reporting spans the crash)
+        # while its bumped generation tags its spans apart in the fleet trace.
         fresh = ProcessReplica(
             dead.spec, self.config,
             metrics=dead.metrics,
-            registry=dead.registry,
             generation=dead.generation + 1,
         )
         fresh.start(wait_ready=False)  # accepting flips on Hello, async

@@ -24,11 +24,9 @@ an overloaded cluster stays observable.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from typing import Sequence
 
 from repro.config import RouterConfig
-from repro.observability.metrics import get_registry
 from repro.registries import ROUTING_POLICIES
 
 __all__ = ["Router"]
@@ -54,45 +52,18 @@ def hash_policy(stream_id: int, candidates: Sequence, hash_seed: int = 0):
     return sorted(candidates, key=lambda shard: shard.shard_id)[index]
 
 
-_ROUTER_IDS = itertools.count()
-
-
 class Router:
-    """Pins streams to shards and refuses work the shards cannot absorb.
-
-    Rejection counters live in the process-wide metrics registry
-    (``repro_cluster_rejected_total{router=..., kind=...}``) instead of plain
-    attributes; ``rejected_streams`` / ``rejected_frames`` read their cells.
-    """
+    """Pins streams to shards and refuses work the shards cannot absorb."""
 
     def __init__(self, config: RouterConfig) -> None:
         config.validate()
         self.config = config
         self._policy = ROUTING_POLICIES.get(config.policy)
         self._assignment: dict[int, object] = {}
-        rejected = get_registry().counter(
-            "repro_cluster_rejected_total",
-            help="Streams/frames refused at the cluster front door",
-        )
-        router = f"router-{next(_ROUTER_IDS)}"
-        self._rejected_streams = rejected.labels(router=router, kind="streams")
-        self._rejected_frames = rejected.labels(router=router, kind="frames")
-        self._stranded_streams = rejected.labels(router=router, kind="stranded")
-
-    @property
-    def rejected_streams(self) -> int:
-        """Streams refused because every live shard was at its admission cap."""
-        return int(self._rejected_streams.value)
-
-    @property
-    def rejected_frames(self) -> int:
-        """Frames refused because their stream was never admitted."""
-        return int(self._rejected_frames.value)
-
-    @property
-    def stranded_streams(self) -> int:
-        """Live streams a reassignment could not re-home (shard crash/drain)."""
-        return int(self._stranded_streams.value)
+        #: streams refused because every live shard was at its admission cap
+        self.rejected_streams = 0
+        #: frames refused because their stream was never admitted
+        self.rejected_frames = 0
 
     # -- placement -----------------------------------------------------------
     def assign(self, stream_id: int, shards: Sequence) -> object | None:
@@ -111,7 +82,7 @@ class Router:
             if shard.accepting and shard.active_streams < self.config.max_streams_per_shard
         ]
         if not candidates:
-            self._rejected_streams.inc()
+            self.rejected_streams += 1
             return None
         shard = self._policy(stream_id, candidates, hash_seed=self.config.hash_seed)
         self._assignment[stream_id] = shard
@@ -126,9 +97,10 @@ class Router:
         accept streams, are under the per-shard cap, and are in neither
         ``exclude`` nor the stream's previous home.  Returns the new shard, or
         None when no candidate exists — the stream is then **stranded** (its
-        pin is gone; subsequent frames count as unrouted) and the stranded
-        counter records it.  Migration is about streams, not frames: the
-        caller owns the accounting of whatever was in flight on the old shard.
+        pin is gone; subsequent frames count as unrouted) and the caller
+        counts it (``ReplicaSupervisor.stranded_streams``).  Migration is
+        about streams, not frames: the caller owns the accounting of whatever
+        was in flight on the old shard.
         """
         previous = self._assignment.pop(stream_id, None)
         excluded = {id(shard) for shard in exclude}
@@ -142,7 +114,6 @@ class Router:
             and shard.active_streams < self.config.max_streams_per_shard
         ]
         if not candidates:
-            self._stranded_streams.inc()
             return None
         shard = self._policy(stream_id, candidates, hash_seed=self.config.hash_seed)
         self._assignment[stream_id] = shard
@@ -152,7 +123,7 @@ class Router:
         """The shard serving ``stream_id``; None counts a rejected frame."""
         shard = self._assignment.get(stream_id)
         if shard is None:
-            self._rejected_frames.inc()
+            self.rejected_frames += 1
         return shard
 
     def release(self, stream_id: int) -> object | None:

@@ -306,10 +306,6 @@ class TelemetryConfig(SerializableConfig):
     #: fraction of frame traces kept, in [0, 1]; sampling is deterministic in
     #: the admission order, so the same run traces the same frames
     sample_rate: float = 1.0
-    #: emit per-frame spans (queue wait, batch assembly, detector stages)
-    spans: bool = True
-    #: emit governor/autoscaler decision events
-    decisions: bool = True
     #: capacity of the bounded in-memory ring buffer (oldest events drop)
     ring_capacity: int = 8192
     #: JSONL span-log path; "" keeps the sink off
@@ -371,8 +367,6 @@ class GovernorConfig(SerializableConfig):
     quality back up.  Asymmetric on purpose: degrade fast, restore cautiously.
     """
 
-    #: policy name resolved through ``CLUSTER_GOVERNORS``
-    kind: str = "slo-scale"
     enabled: bool = True
     #: the SLO: rolling p95 end-to-end latency each shard must stay under
     target_p95_ms: float = 250.0
@@ -419,8 +413,6 @@ class AutoscalerConfig(SerializableConfig):
     loop stable; the cooldown prevents add/drain flapping on load transients.
     """
 
-    #: policy name resolved through ``CLUSTER_AUTOSCALERS``
-    kind: str = "occupancy"
     enabled: bool = False
     #: mean shard occupancy the policy steers toward
     target_occupancy: float = 0.7

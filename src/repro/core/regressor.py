@@ -24,12 +24,10 @@ from repro.nn.layers import (
     inference_mode,
     is_inference,
 )
-from repro.registries import SCALE_REGRESSORS
 
 __all__ = ["ScaleRegressor"]
 
 
-@SCALE_REGRESSORS.register("parallel-conv")
 class ScaleRegressor(Module):
     """Regresses the normalised relative scale target of Eq. (3)."""
 

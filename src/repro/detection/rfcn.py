@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +43,11 @@ from repro.detection.rpn import RPNHead, RPNOutput
 from repro.nn.functional import softmax
 from repro.nn.layers import Conv2d, Module, ReLU, Sequential, inference_mode, is_inference
 from repro.profiling import stage
-from repro.registries import BACKBONES, DETECTORS
 from repro.utils.grouping import group_indices, stack_group
 
 __all__ = ["Detection", "DetectionResult", "RFCNDetector", "build_backbone"]
 
 
-@BACKBONES.register("conv-ladder")
 def build_backbone(
     channels: tuple[int, ...], rng: np.random.Generator
 ) -> tuple[Sequential, int]:
@@ -154,7 +152,6 @@ class DetectionResult:
         ]
 
 
-@DETECTORS.register("rfcn")
 class RFCNDetector(Module):
     """Region-based fully convolutional detector (compact R-FCN)."""
 

@@ -1,6 +1,6 @@
 """End-to-end observability for the serving/cluster stack.
 
-Three pieces, designed to cost nothing when off:
+Two pieces, designed to cost nothing when off:
 
 * **Tracing** (:mod:`~repro.observability.trace`) — a
   :class:`TraceContext` minted per admitted frame rides on the request
@@ -9,15 +9,15 @@ Three pieces, designed to cost nothing when off:
   **decision events**.  Activation mirrors the stage profiler: one
   module-level active tracer, read without locking, so disabled
   instrumentation is a null check.
-* **Metrics** (:mod:`~repro.observability.metrics`) — a process-wide
-  :class:`MetricsRegistry` of labeled counters/gauges/histograms with
-  per-thread shards and explicit snapshots; :class:`ServerMetrics`, the
-  cluster router and the governor register their counters here.
 * **Sinks & exporters** (:mod:`~repro.observability.sinks` /
   :mod:`~repro.observability.export`) — bounded ring buffer, JSONL span
   log, Chrome trace-event export (``chrome://tracing`` / Perfetto),
-  Prometheus text exposition, per-stage/per-shard rollups, and SLO
-  burn-rate series.
+  Prometheus text exposition of a span log, per-stage/per-shard rollups,
+  and SLO burn-rate series.
+
+Live serving metrics are not kept here: each server's
+:class:`~repro.serving.metrics.ServerMetrics` is the one accumulator behind
+its telemetry snapshot, the cluster report and the governor.
 
 Everything is configured by :class:`repro.config.TelemetryConfig`
 (re-exported here), which is a field of ``ExperimentConfig`` — so
@@ -36,7 +36,6 @@ from repro.observability.export import (
     validate_prometheus_text,
     write_chrome_trace,
 )
-from repro.observability.metrics import MetricsRegistry, diff_snapshots, get_registry
 from repro.observability.sinks import (
     JsonlSpanSink,
     RingBufferSink,
@@ -47,7 +46,6 @@ from repro.observability.trace import SpanEvent, TraceContext, Tracer, active_tr
 
 __all__ = [
     "JsonlSpanSink",
-    "MetricsRegistry",
     "RingBufferSink",
     "SpanEvent",
     "SpanExportBuffer",
@@ -56,9 +54,7 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "burn_rate_series",
-    "diff_snapshots",
     "events_to_metrics",
-    "get_registry",
     "load_span_log",
     "shard_rollup",
     "stage_rollup",

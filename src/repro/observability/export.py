@@ -9,10 +9,9 @@ rollup:
   trace-event JSON format, loadable in ``chrome://tracing`` and Perfetto.
   Shards map to processes, streams to threads, so a multi-shard run renders
   as parallel swimlanes with governor decisions as instant markers.
-* :func:`to_prometheus_text` — Prometheus text exposition of a
-  :meth:`~repro.observability.metrics.MetricsRegistry.snapshot`;
-  :func:`events_to_metrics` rebuilds such a snapshot from recorded events so
-  the ``repro obs`` CLI can expose a span log the same way.
+* :func:`to_prometheus_text` — Prometheus text exposition of the metrics
+  snapshot :func:`events_to_metrics` builds from recorded events, so the
+  ``repro obs`` CLI can expose a span log.
 * :func:`stage_rollup` — per-stage ``{name: {count, total_s, mean_ms}}`` in
   exactly the shape of :meth:`repro.profiling.StageProfiler.stages` (the
   profiler bridge: the trace's stage spans and the profiler's stage scopes
@@ -26,10 +25,11 @@ rollup:
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.evaluation.runtime import RuntimeStats
 from repro.observability.trace import SpanEvent
 
 __all__ = [
@@ -48,6 +48,17 @@ __all__ = [
 COMPLETION_EVENT = "serving/complete_frame"
 #: Event name carrying a shed (dropped / expired / rejected) frame.
 SHED_EVENT = "serving/shed"
+
+#: ``(name, type, help)`` of every family :func:`events_to_metrics` reports.
+_TRACE_FAMILIES = (
+    ("repro_trace_frames_completed_total", "counter", "Completed frames seen in the trace"),
+    ("repro_trace_frames_shed_total", "counter", "Shed frames seen in the trace"),
+    ("repro_trace_decisions_total", "counter", "Control-plane decisions in the trace"),
+    ("repro_trace_spans_total", "counter", "Duration spans in the trace"),
+    ("repro_trace_frame_latency_seconds", "histogram", "End-to-end frame latency"),
+)
+#: Percentiles (0-100) reported for each histogram sample.
+_QUANTILES = (50, 95, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,7 @@ def _format_labels(labels: Mapping[str, str]) -> str:
 
 
 def to_prometheus_text(snapshot: Mapping[str, Mapping[str, Any]]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict as Prometheus text.
+    """Render an :func:`events_to_metrics` snapshot dict as Prometheus text.
 
     Histograms are exposed summary-style: ``_count`` and ``_sum`` series plus
     one ``{quantile="..."}`` series per reported percentile.
@@ -214,44 +225,59 @@ def validate_prometheus_text(text: str) -> list[str]:
 
 
 def events_to_metrics(events: Sequence[SpanEvent]) -> dict[str, dict[str, Any]]:
-    """Rebuild a registry-style snapshot from recorded events.
+    """Summarise recorded events as the snapshot :func:`to_prometheus_text` renders.
 
-    Lets ``repro obs export --format prometheus`` expose a span log without
-    access to the live process's registry: completions, sheds and decisions
-    become counters, completion latency a histogram, all labeled by shard.
+    Lets ``repro obs export --format prometheus`` expose a span log:
+    completions, sheds, decisions and spans become counters and completion
+    latency a summary, all labeled by shard.  Returns
+    ``{name: {"type", "help", "samples": [...]}}`` where a counter sample is
+    ``{"labels", "value"}`` and a histogram sample ``{"labels", "count",
+    "sum", "p50", "p95", "p99"}``; quantiles come from
+    :meth:`~repro.evaluation.runtime.RuntimeStats.percentile` (linear
+    interpolation), the percentile rule of every other latency report.
     """
-    from repro.observability.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    completed = registry.counter(
-        "repro_trace_frames_completed_total", help="Completed frames seen in the trace"
-    )
-    shed = registry.counter(
-        "repro_trace_frames_shed_total", help="Shed frames seen in the trace"
-    )
-    decisions = registry.counter(
-        "repro_trace_decisions_total", help="Control-plane decisions in the trace"
-    )
-    spans = registry.counter(
-        "repro_trace_spans_total", help="Duration spans in the trace"
-    )
-    latency = registry.histogram(
-        "repro_trace_frame_latency_seconds", help="End-to-end frame latency"
-    )
+    counts: dict[str, Counter] = {
+        name: Counter() for name, kind, _ in _TRACE_FAMILIES if kind == "counter"
+    }
+    latencies: dict[tuple, list[float]] = defaultdict(list)
     for event in events:
-        shard = str(event.shard_id)
+        shard = (("shard", str(event.shard_id)),)
         if event.kind == "decision":
-            decisions.labels(shard=shard, action=event.name).inc()
+            counts["repro_trace_decisions_total"][(("action", event.name),) + shard] += 1
         elif event.kind == "span":
-            spans.labels(shard=shard, name=event.name).inc()
+            counts["repro_trace_spans_total"][(("name", event.name),) + shard] += 1
         if event.name == COMPLETION_EVENT:
-            completed.labels(shard=shard).inc()
+            counts["repro_trace_frames_completed_total"][shard] += 1
             latency_ms = event.attrs.get("latency_ms")
             if latency_ms is not None:
-                latency.labels(shard=shard).observe(float(latency_ms) / 1000.0)
+                latencies[shard].append(float(latency_ms) / 1000.0)
         elif event.name == SHED_EVENT:
-            shed.labels(shard=shard, status=str(event.attrs.get("status", ""))).inc()
-    return registry.snapshot()
+            status = str(event.attrs.get("status", ""))
+            counts["repro_trace_frames_shed_total"][shard + (("status", status),)] += 1
+    snapshot: dict[str, dict[str, Any]] = {}
+    for name, kind, help in _TRACE_FAMILIES:
+        if kind == "counter":
+            samples = [
+                {"labels": dict(key), "value": float(value)}
+                for key, value in sorted(counts[name].items())
+            ]
+        else:
+            samples = [_summary(key, values) for key, values in sorted(latencies.items())]
+        snapshot[name] = {"type": kind, "help": help, "samples": samples}
+    return snapshot
+
+
+def _summary(key: tuple, values: list[float]) -> dict[str, Any]:
+    """One histogram sample: count, sum and quantiles (seconds) of ``values``."""
+    stats = RuntimeStats(samples_s=values)
+    sample: dict[str, Any] = {
+        "labels": dict(key),
+        "count": float(stats.count),
+        "sum": float(sum(values)),
+    }
+    for q in _QUANTILES:
+        sample[f"p{q}"] = stats.percentile(q) / 1000.0
+    return sample
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,6 @@ class Tracer:
         **attrs: Any,
     ) -> None:
         """Record a duration span under ``context`` with explicit times."""
-        if not self.config.spans:
-            return
         self._emit(
             SpanEvent(
                 name=name,
@@ -293,8 +291,6 @@ class Tracer:
         **attrs: Any,
     ) -> None:
         """Record a point event on a frame's trace (completion, shed, ...)."""
-        if not self.config.spans:
-            return
         self._emit(
             SpanEvent(
                 name=name,
@@ -330,8 +326,6 @@ class Tracer:
         frame to hang them on; these spans share ``trace_id`` 0 with decision
         events unless the caller supplies one.
         """
-        if not self.config.spans:
-            return
         self._emit(
             SpanEvent(
                 name=name,
@@ -355,8 +349,6 @@ class Tracer:
         event attrs, so an exported trace explains *why* a cap moved, not just
         that it did.
         """
-        if not self.config.decisions:
-            return
         self._emit(
             SpanEvent(
                 name=f"cluster/{action.action}",

@@ -1,9 +1,10 @@
 """The component registries of the declarative build API.
 
-Each swappable component family has one :class:`~repro.utils.registry.Registry`
-instance here; the components register themselves **at definition site** (the
-module that defines ``SyntheticVID`` also registers it), so importing a
-component module is all it takes to make it buildable by name via
+Each component family with more than one member has one
+:class:`~repro.utils.registry.Registry` instance here; the components
+register themselves **at definition site** (the module that defines
+``SyntheticVID`` also registers it), so importing a component module is all
+it takes to make it buildable by name via
 :func:`~repro.utils.registry.build_from_cfg`::
 
     from repro.registries import DATASETS, load_components
@@ -23,16 +24,11 @@ from repro.utils.registry import Registry, build_from_cfg
 __all__ = [
     "ACCELERATORS",
     "ARRIVAL_PATTERNS",
-    "BACKBONES",
-    "CLUSTER_AUTOSCALERS",
-    "CLUSTER_GOVERNORS",
     "CLUSTER_SCENARIOS",
     "DATASETS",
-    "DETECTORS",
     "EXPERIMENT_PRESETS",
     "FAULT_INJECTORS",
     "ROUTING_POLICIES",
-    "SCALE_REGRESSORS",
     "SCHEDULER_POLICIES",
     "TELEMETRY_SINKS",
     "build_from_cfg",
@@ -41,15 +37,6 @@ __all__ = [
 
 #: Video datasets (ImageNet-VID / YouTube-BB stand-ins), by name.
 DATASETS: Registry = Registry("dataset")
-
-#: Backbone builders for the detector (feature extractors).
-BACKBONES: Registry = Registry("backbone")
-
-#: Full detector architectures.
-DETECTORS: Registry = Registry("detector")
-
-#: Scale-regressor architectures (Sec. 3.2 of the paper).
-SCALE_REGRESSORS: Registry = Registry("scale-regressor")
 
 #: Video-acceleration components: DFF, Seq-NMS and their AdaScale combinations.
 ACCELERATORS: Registry = Registry("accelerator")
@@ -65,12 +52,6 @@ EXPERIMENT_PRESETS: Registry = Registry("experiment preset")
 
 #: Stream→shard placement policies of the cluster router.
 ROUTING_POLICIES: Registry = Registry("routing-policy")
-
-#: SLO feedback controllers of the cluster control plane.
-CLUSTER_GOVERNORS: Registry = Registry("cluster-governor")
-
-#: Shard add/drain policies of the cluster control plane.
-CLUSTER_AUTOSCALERS: Registry = Registry("cluster-autoscaler")
 
 #: Trace-driven workload generators of the cluster scenario suite.
 CLUSTER_SCENARIOS: Registry = Registry("cluster-scenario")
@@ -92,13 +73,10 @@ def load_components() -> None:
     import repro.acceleration.dff  # noqa: F401
     import repro.acceleration.seqnms  # noqa: F401
     import repro.cluster.faults  # noqa: F401  (registers fault injectors)
-    import repro.cluster.governor  # noqa: F401  (registers governors/autoscalers)
     import repro.cluster.router  # noqa: F401  (registers routing policies)
     import repro.cluster.scenarios  # noqa: F401  (registers cluster scenarios)
-    import repro.core.regressor  # noqa: F401  (registers scale regressors)
     import repro.data.mini_ytbb  # noqa: F401  (registers datasets)
     import repro.data.synthetic_vid  # noqa: F401
-    import repro.detection.rfcn  # noqa: F401  (registers backbones/detectors)
     import repro.observability.sinks  # noqa: F401  (registers telemetry sinks)
     import repro.presets  # noqa: F401  (registers experiment presets)
     import repro.serving.loadgen  # noqa: F401  (registers arrival patterns)

@@ -17,7 +17,6 @@ All hooks are thread-safe; workers and submitters share one instance.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ import numpy as np
 
 from repro.evaluation.reporting import format_float, format_table, runtime_summary_table
 from repro.evaluation.runtime import RuntimeStats
-from repro.observability.metrics import MetricsRegistry, get_registry
 
 __all__ = ["StreamSnapshot", "TelemetrySnapshot", "ServerMetrics"]
 
@@ -131,13 +129,6 @@ class TelemetrySnapshot:
         return "\n\n".join(sections)
 
 
-@dataclass
-class _StreamCounters:
-    latency: RuntimeStats
-    first_completion: float = float("inf")
-    last_completion: float = float("-inf")
-
-
 #: Terminal frame states a :class:`ServerMetrics` counts, in snapshot order.
 _FRAME_STATES = (
     "submitted",
@@ -150,98 +141,68 @@ _FRAME_STATES = (
     "migrated",
 )
 
-_INSTANCE_IDS = itertools.count()
-
 
 class ServerMetrics:
     """Thread-safe accumulator behind :class:`TelemetrySnapshot`.
 
-    The frame-state counters live in the process-wide
-    :class:`~repro.observability.metrics.MetricsRegistry` (one
-    ``repro_serving_frames_total{instance=..., state=...}`` cell per terminal
-    state) rather than as private integers, so a Prometheus exposition of the
-    registry sees every server in the process; latency samples feed a
-    registry histogram the same way.  The attribute API is unchanged:
-    ``metrics.submitted`` etc. read their cells.
+    Frame-state counters are plain integers and each latency sample is
+    stored once (with its stream id beside it), all under one lock.  This is
+    the one metrics stack of the serving/cluster path: the snapshot, the
+    cluster report, the governor and the process-mode proxies all read it.
     """
 
-    def __init__(
-        self,
-        clock=time.monotonic,
-        registry: MetricsRegistry | None = None,
-        instance: str | None = None,
-    ) -> None:
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self.registry = registry if registry is not None else get_registry()
-        self.instance = (
-            instance if instance is not None else f"server-{next(_INSTANCE_IDS)}"
-        )
-        frames = self.registry.counter(
-            "repro_serving_frames_total",
-            help="Frames per terminal state, per server instance",
-        )
-        self._state_cells = {
-            state: frames.labels(instance=self.instance, state=state)
-            for state in _FRAME_STATES
-        }
-        self._latency_cell = self.registry.histogram(
-            "repro_serving_latency_seconds",
-            help="End-to-end frame latency (submission to completion)",
-        ).labels(instance=self.instance)
-        self._depth_cell = self.registry.gauge(
-            "repro_serving_queue_depth",
-            help="Last sampled scheduler queue depth",
-        ).labels(instance=self.instance)
+        self._counts = dict.fromkeys(_FRAME_STATES, 0)
         self.latency = RuntimeStats(name="end-to-end")
         self.queue_wait = RuntimeStats(name="queue wait")
         self.service = RuntimeStats(name="service")
-        self._streams: dict[int, _StreamCounters] = {}
+        #: stream id of each ``latency`` sample, index for index
+        self._latency_streams: list[int] = []
+        self._stream_last_completion: dict[int, float] = {}
         self._batch_sizes: list[int] = []
         self._queue_depths: list[int] = []
         self._first_submit = float("inf")
         self._last_completion = float("-inf")
 
-    def _count(self, state: str) -> int:
-        return int(self._state_cells[state].value)
-
     @property
     def submitted(self) -> int:
-        return self._count("submitted")
+        return self._counts["submitted"]
 
     @property
     def completed(self) -> int:
-        return self._count("completed")
+        return self._counts["completed"]
 
     @property
     def dropped(self) -> int:
-        return self._count("dropped")
+        return self._counts["dropped"]
 
     @property
     def expired(self) -> int:
-        return self._count("expired")
+        return self._counts["expired"]
 
     @property
     def rejected(self) -> int:
-        return self._count("rejected")
+        return self._counts["rejected"]
 
     @property
     def failed(self) -> int:
-        return self._count("failed")
+        return self._counts["failed"]
 
     @property
     def cancelled(self) -> int:
-        return self._count("cancelled")
+        return self._counts["cancelled"]
 
     @property
     def migrated(self) -> int:
-        return self._count("migrated")
+        return self._counts["migrated"]
 
     # -- hooks --------------------------------------------------------------
     def on_submitted(self) -> None:
         """Record one admission attempt."""
         with self._lock:
-            self._state_cells["submitted"].inc()
+            self._counts["submitted"] += 1
             self._first_submit = min(self._first_submit, self._clock())
 
     def on_shed(self, kind: str) -> None:
@@ -249,13 +210,12 @@ class ServerMetrics:
         if kind not in _FRAME_STATES or kind in ("submitted", "completed"):
             raise ValueError(f"unknown shed kind {kind!r}")
         with self._lock:
-            self._state_cells[kind].inc()
+            self._counts[kind] += 1
 
     def observe_queue_depth(self, depth: int) -> None:
         """Sample the scheduler's queue depth (called on admit and dispatch)."""
         with self._lock:
             self._queue_depths.append(int(depth))
-            self._depth_cell.set(int(depth))
 
     def observe_batch(self, size: int) -> None:
         """Record the occupancy of one dispatched micro-batch."""
@@ -272,18 +232,14 @@ class ServerMetrics:
         """Record one successfully served frame."""
         now = self._clock()
         with self._lock:
-            self._state_cells["completed"].inc()
-            self._latency_cell.observe(latency_s)
+            self._counts["completed"] += 1
             self.latency.add(latency_s)
             self.queue_wait.add(queue_wait_s)
             self.service.add(service_s)
-            stream = self._streams.get(stream_id)
-            if stream is None:
-                stream = _StreamCounters(latency=RuntimeStats(name=f"stream {stream_id}"))
-                self._streams[stream_id] = stream
-            stream.latency.add(latency_s)
-            stream.first_completion = min(stream.first_completion, now)
-            stream.last_completion = max(stream.last_completion, now)
+            self._latency_streams.append(stream_id)
+            self._stream_last_completion[stream_id] = max(
+                self._stream_last_completion.get(stream_id, now), now
+            )
             self._last_completion = max(self._last_completion, now)
 
     def recent_latency(self, window: int) -> RuntimeStats:
@@ -334,21 +290,20 @@ class ServerMetrics:
             wall = self._last_completion - self._first_submit
             wall = wall if np.isfinite(wall) and wall > 0 else 0.0
             throughput = self.completed / wall if wall > 0 else 0.0
+            by_stream: dict[int, list[float]] = {}
+            for stream_id, latency_s in zip(self._latency_streams, self.latency.samples_s):
+                by_stream.setdefault(stream_id, []).append(latency_s)
             streams = []
-            for stream_id in sorted(self._streams):
-                stream = self._streams[stream_id]
-                span = stream.last_completion - self._first_submit
-                fps = (
-                    stream.latency.count / span
-                    if np.isfinite(span) and span > 0
-                    else 0.0
-                )
+            for stream_id in sorted(by_stream):
+                latency = RuntimeStats(samples_s=by_stream[stream_id])
+                span = self._stream_last_completion[stream_id] - self._first_submit
+                fps = latency.count / span if np.isfinite(span) and span > 0 else 0.0
                 streams.append(
                     StreamSnapshot(
                         stream_id=stream_id,
-                        completed=stream.latency.count,
-                        mean_latency_ms=stream.latency.mean_ms,
-                        p95_latency_ms=stream.latency.p95_ms,
+                        completed=latency.count,
+                        mean_latency_ms=latency.mean_ms,
+                        p95_latency_ms=latency.p95_ms,
                         throughput_fps=fps,
                     )
                 )

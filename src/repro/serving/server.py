@@ -84,14 +84,11 @@ class InferenceServer:
             on_depth=self.metrics.observe_queue_depth,
             on_batch=self.metrics.observe_batch,
         )
-        # One shared context for every worker: inference-mode forwards never
-        # touch module state, so no per-worker replicas are needed.
-        self._worker_context = WorkerContext.shared(
-            self.bundle.ms_detector, self.bundle.regressor, self.bundle.config.adascale
-        )
         self.pool = WorkerPool(
             scheduler=self.scheduler,
-            build_context=self._build_worker_context,
+            context=WorkerContext.shared(
+                self.bundle.ms_detector, self.bundle.regressor, self.bundle.config.adascale
+            ),
             complete=self._on_worker_done,
             num_workers=self.serving.num_workers,
         )
@@ -278,9 +275,6 @@ class InferenceServer:
         self.scheduler.set_max_batch_size(max_batch_size)
 
     # -- internal callbacks -------------------------------------------------
-    def _build_worker_context(self) -> WorkerContext:
-        return self._worker_context
-
     def _on_shed(self, request: FrameRequest, status: RequestStatus) -> None:
         """Scheduler shed a queued frame (drop/expire/reject/cancel)."""
         self.metrics.on_shed(status.value)

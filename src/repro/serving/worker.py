@@ -115,12 +115,16 @@ def _traced_region(name: str, tracer: Tracer, frames: Sequence[FramePlan]) -> It
 
 
 class WorkerPool:
-    """Fixed pool of threads executing scheduler micro-batches."""
+    """Fixed pool of threads executing scheduler micro-batches.
+
+    Every worker runs with the same ``context``: inference-mode forwards
+    never touch module state, so one set of models serves all threads.
+    """
 
     def __init__(
         self,
         scheduler: FrameScheduler,
-        build_context: Callable[[], WorkerContext],
+        context: WorkerContext,
         complete: CompleteFn,
         num_workers: int = 2,
         poll_timeout_s: float = 1.0,
@@ -128,7 +132,7 @@ class WorkerPool:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self._scheduler = scheduler
-        self._build_context = build_context
+        self._context = context
         self._complete = complete
         self.num_workers = num_workers
         #: Shutdown backstop only: workers are woken by the scheduler's
@@ -156,13 +160,12 @@ class WorkerPool:
         self._threads = [t for t in self._threads if t.is_alive()]
 
     def _run(self) -> None:
-        context = self._build_context()
         while True:
             batch = self._scheduler.next_batch(timeout=self._poll_timeout_s)
             if batch is None:  # closed and drained
                 return
             if batch:  # empty: the backstop timeout fired with no work
-                self._execute(batch, context)
+                self._execute(batch, self._context)
 
     def _execute(self, batch: Sequence[FrameRequest], context: WorkerContext) -> None:
         """Execute a whole scheduler micro-batch as stacked tensors."""

@@ -16,8 +16,6 @@ from repro.registries import (
     ACCELERATORS,
     ARRIVAL_PATTERNS,
     DATASETS,
-    DETECTORS,
-    SCALE_REGRESSORS,
     SCHEDULER_POLICIES,
     load_components,
 )
@@ -138,8 +136,6 @@ class TestBuiltinRegistries:
     def test_components_loaded(self):
         load_components()
         assert {"synthetic-vid", "mini-ytbb"} <= set(DATASETS.names())
-        assert "rfcn" in DETECTORS
-        assert "parallel-conv" in SCALE_REGRESSORS
         assert {"dff", "seqnms", "adascale+dff", "adascale+seqnms"} <= set(ACCELERATORS.names())
 
     def test_policy_registry_matches_config_constant(self):

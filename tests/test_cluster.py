@@ -38,12 +38,8 @@ from repro.cluster import (
 )
 from repro.config import AdaScaleConfig, ServingConfig
 from repro.evaluation.runtime import RuntimeStats
-from repro.registries import (
-    CLUSTER_AUTOSCALERS,
-    CLUSTER_GOVERNORS,
-    CLUSTER_SCENARIOS,
-    ROUTING_POLICIES,
-)
+from repro.cluster.controller import _build_autoscaler, _build_governor
+from repro.registries import CLUSTER_SCENARIOS, ROUTING_POLICIES
 from repro.serving.server import InferenceServer
 
 ADA = AdaScaleConfig()  # ladder (128, 96, 72, 48, 32)
@@ -358,12 +354,14 @@ class TestScaleGovernor:
         assert restored == [3, 6]
         assert shard.max_batch_size == shard.baseline_batch_size
 
-    def test_registered_and_buildable_from_spec(self):
-        governor = CLUSTER_GOVERNORS.build(
-            {"type": "slo-scale", "ladder": (96, 48), "target_p95_ms": 50.0}
-        )
+    def test_controller_builds_it_from_the_cluster_config(self):
+        cluster = ClusterConfig(governor=GovernorConfig(target_p95_ms=50.0))
+        governor = _build_governor(cluster, (96, 48))
         assert isinstance(governor, ScaleGovernor)
         assert governor.config.target_p95_ms == 50.0
+        assert governor.ladder == (96, 48)
+        disabled = cluster.with_(governor=cluster.governor.with_(enabled=False))
+        assert _build_governor(disabled, (96, 48)) is None
 
 
 class TestAutoscaler:
@@ -394,7 +392,12 @@ class TestAutoscaler:
     def test_bounds_respected(self):
         scaler = Autoscaler(AutoscalerConfig(enabled=True, cooldown_s=0.0, max_shards=2))
         assert scaler.desired_shards(self._shards([3.0, 3.0]), now=0.0) == 2
-        assert CLUSTER_AUTOSCALERS.get("occupancy") is Autoscaler
+
+    def test_controller_builds_it_only_when_enabled(self):
+        assert _build_autoscaler(ClusterConfig()) is None
+        enabled = ClusterConfig(autoscaler=AutoscalerConfig(enabled=True, max_shards=3))
+        scaler = _build_autoscaler(enabled)
+        assert isinstance(scaler, Autoscaler) and scaler.config.max_shards == 3
 
 
 # -- simulation ----------------------------------------------------------------

@@ -53,7 +53,7 @@ MODIFIED_INSTANCES = [
     ServingConfig(deadline_ms=12.5, backpressure="drop-oldest", use_seqnms=True),
     ServingConfig(deadline_ms=None, initial_scale=96),
     TelemetryConfig(
-        enabled=True, sample_rate=0.25, decisions=False, jsonl_path="spans.jsonl"
+        enabled=True, sample_rate=0.25, ring_capacity=512, jsonl_path="spans.jsonl"
     ),
     ExperimentConfig(
         dataset=DatasetConfig(num_classes=3),
@@ -173,6 +173,36 @@ class TestStrictness:
             path = tmp_path / "exp.toml"
             path.write_text('[detector]\ninference_dtype = "float32"\n')
             with pytest.raises(ValueError, match="'inference_dtype'"):
+                ExperimentConfig.load(path)
+
+    @pytest.mark.parametrize("key", ["spans", "decisions"])
+    def test_removed_telemetry_toggle_keys_are_refused(self, key, tmp_path):
+        """Every traced run emits spans and decisions; the old toggles are unknown."""
+        with pytest.raises(ValueError, match=f"unknown TelemetryConfig key.*'{key}'"):
+            TelemetryConfig.from_dict({key: False})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig.from_dict({"telemetry": {key: True}})
+        with pytest.raises(ValueError, match=key):
+            api.load_experiment_config("tiny", overrides=[f"telemetry.{key}=false"])
+        if toml_supported():
+            path = tmp_path / "exp.toml"
+            path.write_text(f"[telemetry]\n{key} = false\n")
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                ExperimentConfig.load(path)
+
+    @pytest.mark.parametrize(
+        "section, config_name", [("governor", "GovernorConfig"), ("autoscaler", "AutoscalerConfig")]
+    )
+    def test_removed_control_plane_kind_keys_are_refused(self, section, config_name, tmp_path):
+        """The governor and autoscaler have one policy each; ``kind`` is unknown."""
+        with pytest.raises(ValueError, match=f"unknown {config_name} key.*'kind'"):
+            ExperimentConfig.from_dict({"cluster": {section: {"kind": "typo"}}})
+        with pytest.raises(ValueError, match="kind"):
+            api.load_experiment_config("tiny", overrides=[f"cluster.{section}.kind=typo"])
+        if toml_supported():
+            path = tmp_path / "exp.toml"
+            path.write_text(f'[cluster.{section}]\nkind = "typo"\n')
+            with pytest.raises(ValueError, match="'kind'"):
                 ExperimentConfig.load(path)
 
     def test_unknown_nested_key_rejected(self):

@@ -62,8 +62,8 @@ def _sample_messages():
             scores=np.array([0.9]),
             class_ids=np.array([2]),
         ),
-        Telemetry(queue_depth=2, outstanding=4, max_batch_size=4,
-                  batch_sizes=(1, 2), queue_depths=(0, 3), final=False),
+        Telemetry(queue_depth=2, max_batch_size=4,
+                  batch_sizes=(1, 2), queue_depths=(0, 3)),
         Shutdown(cancel_pending=True),
     ]
 

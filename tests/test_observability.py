@@ -1,8 +1,7 @@
 """Tests for ``repro.observability`` — tracing, metrics, sinks and exporters.
 
-Covers the PR 6 tentpole end to end: tracer activation discipline (the
-profiler-style null path), deterministic sampling, the bounded ring buffer,
-the process-wide metrics registry under thread churn, Chrome-trace and
+Covers tracer activation discipline (the profiler-style null path),
+deterministic sampling, the bounded ring buffer, Chrome-trace and
 Prometheus exporters (including their validators catching broken payloads),
 SLO burn-rate series, JSONL span-log round trips, governor/autoscaler
 decision events on a traced cluster run, and full frame-lifecycle trace
@@ -12,7 +11,6 @@ propagation through the real serving stack via the api facade.
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter
 
 import pytest
@@ -25,15 +23,14 @@ from repro.cluster import (
 )
 from repro.cluster.governor import GovernorAction
 from repro.config import AdaScaleConfig, ServingConfig, TelemetryConfig
+from repro.evaluation.runtime import RuntimeStats
 from repro.observability import (
-    MetricsRegistry,
     RingBufferSink,
     SpanEvent,
     SpanExportBuffer,
     Tracer,
     active_tracer,
     burn_rate_series,
-    diff_snapshots,
     events_to_metrics,
     load_span_log,
     shard_rollup,
@@ -149,25 +146,6 @@ class TestSampling:
         )
         assert 0.15 < kept / total < 0.35
 
-    def test_spans_toggle_suppresses_span_emission(self):
-        tracer = Tracer(TelemetryConfig(enabled=True, spans=False))
-        context = tracer.begin_trace(stream_id=0, frame_index=0, now=0.0)
-        assert context is not None
-        tracer.emit_span("serving/queue_wait", context, start_s=0.0, duration_s=0.1)
-        tracer.instant("serving/complete_frame", context, now=0.2, latency_ms=5.0)
-        # The admission instant still records (the trace exists); the frame's
-        # spans and instants are suppressed by the toggle.
-        assert [event.name for event in tracer.events()] == ["serving/admit"]
-
-    def test_decisions_toggle_suppresses_decision_events(self):
-        tracer = Tracer(TelemetryConfig(enabled=True, decisions=False))
-        action = GovernorAction(
-            time_s=1.0, shard_id=0, action="degrade", knob="scale_cap",
-            old=128, new=96, p95_ms=300.0, queue_depth=12, reason="p95 over target",
-        )
-        tracer.decision(action)
-        assert tracer.events() == ()
-
 
 # -- ring buffer ---------------------------------------------------------------
 class TestRingBuffer:
@@ -189,70 +167,6 @@ class TestRingBuffer:
         assert len(sink) == 0
         sink.emit(_completion(1, 0.0, 10.0))
         assert len(sink) == 1
-
-
-# -- metrics registry ----------------------------------------------------------
-class TestMetricsRegistry:
-    def test_counter_is_correct_under_thread_churn(self):
-        registry = MetricsRegistry()
-        cell = registry.counter("test_total").labels(kind="x")
-        per_thread, threads = 5000, 4
-
-        def worker():
-            for _ in range(per_thread):
-                cell.inc()
-
-        pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        assert cell.value == per_thread * threads
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_metric")
-        with pytest.raises(ValueError, match="registered as a counter"):
-            registry.gauge("repro_test_metric")
-
-    def test_same_labels_resolve_to_same_cell(self):
-        registry = MetricsRegistry()
-        family = registry.counter("hits_total")
-        assert family.labels(shard="0", kind="a") is family.labels(kind="a", shard="0")
-        assert family.labels(shard="1", kind="a") is not family.labels(shard="0", kind="a")
-
-    def test_gauge_set_and_high_watermark(self):
-        registry = MetricsRegistry()
-        cell = registry.gauge("depth").labels(shard="0")
-        cell.set(3.0)
-        cell.max(1.0)  # lower: ignored
-        assert cell.value == 3.0
-        cell.max(7.0)
-        assert cell.value == 7.0
-
-    def test_histogram_summary_quantiles(self):
-        registry = MetricsRegistry()
-        cell = registry.histogram("latency_seconds").labels(shard="0")
-        for value in range(1, 101):
-            cell.observe(float(value))
-        summary = cell.summary()
-        assert summary["count"] == 100.0
-        assert summary["sum"] == 5050.0
-        assert 45.0 <= summary["p50"] <= 55.0
-        assert 90.0 <= summary["p95"] <= 100.0
-
-    def test_snapshot_structure(self):
-        registry = MetricsRegistry()
-        registry.counter("a_total", help="things").labels(kind="x").inc(2.0)
-        registry.histogram("b_seconds").labels().observe(0.5)
-        snapshot = registry.snapshot()
-        assert snapshot["a_total"]["type"] == "counter"
-        assert snapshot["a_total"]["help"] == "things"
-        assert snapshot["a_total"]["samples"] == [
-            {"labels": {"kind": "x"}, "value": 2.0}
-        ]
-        histogram = snapshot["b_seconds"]["samples"][0]
-        assert histogram["count"] == 1.0 and histogram["sum"] == 0.5
 
 
 # -- exporters -----------------------------------------------------------------
@@ -297,6 +211,59 @@ class TestExporters:
         assert 'repro_trace_frames_completed_total{shard="1"} 1' in text
         assert "# TYPE repro_trace_frame_latency_seconds summary" in text
         assert 'quantile="0.95"' in text
+
+    def test_prometheus_quantiles_follow_runtime_stats(self):
+        """Summary quantiles use the one percentile rule of the repo."""
+        latencies_ms = [float(v) for v in range(1, 11)]
+        events = [
+            _completion(index + 1, float(index), latency_ms, shard_id=0)
+            for index, latency_ms in enumerate(latencies_ms)
+        ]
+        (sample,) = events_to_metrics(events)["repro_trace_frame_latency_seconds"]["samples"]
+        reference = RuntimeStats(samples_s=[v / 1000.0 for v in latencies_ms])
+        assert sample["labels"] == {"shard": "0"}
+        assert sample["count"] == 10.0
+        assert sample["sum"] == pytest.approx(0.055)
+        for q in (50, 95, 99):
+            assert sample[f"p{q}"] == pytest.approx(reference.percentile(q) / 1000.0)
+        # Linear interpolation, not nearest rank (which would give 6 ms).
+        assert sample["p50"] == pytest.approx(0.0055)
+
+    def test_prometheus_families_and_label_sets(self):
+        events = list(self._traced_events()) + [
+            SpanEvent(
+                name="serving/shed", kind="instant", trace_id=9, span_id=9,
+                parent_id=None, start_s=0.5, duration_s=0.0, shard_id=1,
+                attrs={"status": "dropped"},
+            )
+        ]
+        snapshot = events_to_metrics(events)
+        assert {name: family["type"] for name, family in snapshot.items()} == {
+            "repro_trace_frames_completed_total": "counter",
+            "repro_trace_frames_shed_total": "counter",
+            "repro_trace_decisions_total": "counter",
+            "repro_trace_spans_total": "counter",
+            "repro_trace_frame_latency_seconds": "histogram",
+        }
+        labels = {
+            name: [(sample["labels"], sample.get("value")) for sample in family["samples"]]
+            for name, family in snapshot.items()
+        }
+        assert labels["repro_trace_frames_completed_total"] == [({"shard": "1"}, 1.0)]
+        assert labels["repro_trace_frames_shed_total"] == [
+            ({"shard": "1", "status": "dropped"}, 1.0)
+        ]
+        assert labels["repro_trace_decisions_total"] == [
+            ({"action": "cluster/degrade", "shard": "1"}, 1.0)
+        ]
+        assert labels["repro_trace_spans_total"] == [
+            ({"name": "serving/queue_wait", "shard": "1"}, 1.0),
+            ({"name": "serving/service", "shard": "1"}, 1.0),
+        ]
+        text = to_prometheus_text(snapshot)
+        assert validate_prometheus_text(text) == []
+        assert 'repro_trace_frame_latency_seconds_count{shard="1"} 1' in text
+        assert 'repro_trace_frame_latency_seconds_sum{shard="1"} 0.03' in text
 
     def test_prometheus_validator_catches_garbage(self):
         assert validate_prometheus_text("not a metric line at all!\n")
@@ -450,112 +417,13 @@ class TestTracerSpanAndIngest:
         assert event.shard_id == 1
         assert event.attrs == {"attempt": 1, "generation": 1}
 
-    def test_span_respects_spans_toggle(self):
-        tracer = Tracer(TelemetryConfig(enabled=True, spans=False))
-        tracer.span("supervisor/crash", start_s=0.0, duration_s=0.1)
-        assert tracer.events() == ()
-
     def test_ingest_bypasses_gating_and_hits_every_sink(self):
         # The producer already applied its own config; the merge side must
         # not re-sample or re-gate the shipped event.
-        tracer = Tracer(TelemetryConfig(enabled=True, spans=False, sample_rate=0.0))
+        tracer = Tracer(TelemetryConfig(enabled=True, sample_rate=0.0))
         foreign = _completion(5, 1.0, latency_ms=3.0)
         tracer.ingest(foreign)
         assert tracer.events() == (foreign,)
-
-
-# -- cross-process metric federation -------------------------------------------
-class TestMetricFederation:
-    def _child_registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        frames = registry.counter("frames_total", help="frames")
-        depth = registry.gauge("queue_depth")
-        latency = registry.histogram("latency_seconds")
-        frames.labels(state="completed").inc(3)
-        depth.labels().set(4)
-        latency.labels().observe(0.25)
-        latency.labels().observe(0.75)
-        return registry
-
-    def test_diff_snapshots_ships_only_changes(self):
-        registry = self._child_registry()
-        first = registry.snapshot()
-        delta = diff_snapshots({}, first)
-        assert delta["frames_total"]["cells"] == [
-            {"labels": {"state": "completed"}, "inc": 3.0}
-        ]
-        assert delta["queue_depth"]["cells"] == [{"labels": {}, "set": 4.0}]
-        assert delta["latency_seconds"]["cells"] == [
-            {"labels": {}, "count": 2.0, "sum": 1.0}
-        ]
-        # Nothing changed since: the next cadence ships nothing at all.
-        assert diff_snapshots(first, registry.snapshot()) == {}
-        registry.counter("frames_total").labels(state="completed").inc()
-        next_delta = diff_snapshots(first, registry.snapshot())
-        assert next_delta["frames_total"]["cells"] == [
-            {"labels": {"state": "completed"}, "inc": 1.0}
-        ]
-        assert "queue_depth" not in next_delta  # gauge level unchanged
-
-    def test_merge_delta_applies_extra_labels(self):
-        child = self._child_registry()
-        parent = MetricsRegistry()
-        parent.merge_delta(
-            diff_snapshots({}, child.snapshot()),
-            extra_labels={"shard": "0", "pid": "123", "generation": "0"},
-        )
-        snapshot = parent.snapshot()
-        (counter_cell,) = snapshot["frames_total"]["samples"]
-        assert counter_cell["labels"] == {
-            "state": "completed", "shard": "0", "pid": "123", "generation": "0",
-        }
-        assert counter_cell["value"] == 3.0
-        (gauge_cell,) = snapshot["queue_depth"]["samples"]
-        assert gauge_cell["value"] == 4.0
-        (histogram_cell,) = snapshot["latency_seconds"]["samples"]
-        assert histogram_cell["count"] == 2.0
-        assert histogram_cell["sum"] == 1.0
-
-    def test_repeated_deltas_accumulate_counters(self):
-        child = self._child_registry()
-        parent = MetricsRegistry()
-        mark: dict = {}
-        for _ in range(2):
-            current = child.snapshot()
-            parent.merge_delta(
-                diff_snapshots(mark, current), extra_labels={"shard": "1"}
-            )
-            mark = current
-            child.counter("frames_total").labels(state="completed").inc(2)
-        parent.merge_delta(diff_snapshots(mark, child.snapshot()), {"shard": "1"})
-        (cell,) = parent.snapshot()["frames_total"]["samples"]
-        assert cell["value"] == 7.0  # 3 + 2 + 2, no double counting
-
-    def test_respawn_generations_stay_distinct_label_sets(self):
-        parent = MetricsRegistry()
-        for generation in ("0", "1"):
-            child = self._child_registry()
-            parent.merge_delta(
-                diff_snapshots({}, child.snapshot()),
-                extra_labels={"shard": "0", "generation": generation},
-            )
-        cells = parent.snapshot()["frames_total"]["samples"]
-        generations = {cell["labels"]["generation"] for cell in cells}
-        assert generations == {"0", "1"}
-
-    def test_unknown_family_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown type"):
-            MetricsRegistry().merge_delta({"x": {"type": "wat", "cells": []}})
-
-    def test_merged_summary_renders_in_prometheus_text(self):
-        parent = MetricsRegistry()
-        parent.merge_delta(
-            diff_snapshots({}, self._child_registry().snapshot()),
-            extra_labels={"shard": "0"},
-        )
-        text = to_prometheus_text(parent.snapshot())
-        assert validate_prometheus_text(text) == []
-        assert 'latency_seconds_count{shard="0"} 2' in text
 
 
 # -- multi-process Chrome trace shape ------------------------------------------

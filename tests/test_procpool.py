@@ -31,7 +31,7 @@ from repro.cluster import (
     parse_fault_spec,
 )
 from repro.config import ServingConfig, TelemetryConfig
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import Tracer
 from repro.serving.request import RequestStatus
 from repro.serving.server import InferenceServer
 
@@ -373,10 +373,9 @@ class TestFleetTracing:
             telemetry=TelemetryConfig(enabled=True),
         )
         assert spec.telemetry is not None and spec.telemetry["jsonl_path"] == ""
-        registry = MetricsRegistry()
         with Tracer(TelemetryConfig(enabled=True)) as tracer:
             parent_start = time.monotonic()
-            replica = ProcessReplica(spec, FAST_RESPAWN, registry=registry).start()
+            replica = ProcessReplica(spec, FAST_RESPAWN).start()
             try:
                 replica.open_stream(0)
                 results = _run_sequence(replica, frames, 0, range(4))
@@ -410,46 +409,31 @@ class TestFleetTracing:
             assert event.start_s + event.duration_s <= parent_end + slack
         completions = [e for e in child_events if e.name == "serving/complete_frame"]
         assert len(completions) == 4
-
-        # The child's metric families federated under fleet labels.
-        snapshot = registry.snapshot()
-        cells = snapshot["repro_serving_frames_total"]["samples"]
-        fleet_cells = [
-            c for c in cells
-            if c["labels"].get("shard") == "0"
-            and c["labels"].get("pid") == str(replica.pid)
-            and c["labels"].get("generation") == "0"
-        ]
-        completed = sum(
-            c["value"] for c in fleet_cells if c["labels"]["state"] == "completed"
-        )
-        assert completed == 4.0
-        drops = snapshot["repro_trace_span_drops_total"]["samples"]
-        assert all(cell["value"] == 0.0 for cell in drops)
+        # The parent counts the same frames from the child's Done messages.
+        assert replica.metrics.snapshot().completed == 4
 
     def test_untraced_replica_ships_nothing(self, micro_config, micro_bundle_dir, frames):
-        registry = MetricsRegistry()
-        replica = ProcessReplica(
-            _spec(micro_config, micro_bundle_dir), FAST_RESPAWN, registry=registry
-        ).start()
-        try:
-            replica.open_stream(0)
-            _run_sequence(replica, frames, 0, range(2))
-        finally:
-            replica.stop()
+        with Tracer(TelemetryConfig(enabled=True)) as tracer:
+            replica = ProcessReplica(_spec(micro_config, micro_bundle_dir), FAST_RESPAWN).start()
+            try:
+                replica.open_stream(0)
+                _run_sequence(replica, frames, 0, range(2))
+            finally:
+                replica.stop()
         assert replica.span_drops == 0
-        assert registry.snapshot() == {}  # no telemetry in the spec: no deltas
+        # No telemetry in the spec: the child runs no tracer and ships no spans.
+        assert not any("os_pid" in event.attrs for event in tracer.events())
 
     def test_metrics_continuity_across_respawn_generations(
         self, micro_config, micro_bundle_dir, frames
     ):
-        """One shard's story spans its crash: counters continue, labels fork.
+        """One shard's story spans its crash: counters continue, traces fork.
 
         The respawned replica reuses its predecessor's parent-side
         ServerMetrics (per-shard reporting never resets) while the fleet
-        registry keeps generation-0 and generation-1 cells distinct.
+        trace tells generation-0 and generation-1 spans apart by their
+        ``generation`` and ``os_pid`` attrs.
         """
-        registry = MetricsRegistry()
         replicas = [
             ProcessReplica(
                 ReplicaSpec.for_bundle_dir(
@@ -457,67 +441,69 @@ class TestFleetTracing:
                     telemetry=TelemetryConfig(enabled=True),
                 ),
                 FAST_RESPAWN,
-                registry=registry,
             )
             for shard_id in range(2)
         ]
-        for replica in replicas:
-            replica.start(wait_ready=False)
-        for replica in replicas:
-            replica.wait_ready(ProcessPoolConfig().start_timeout_s)
-        router = Router(RouterConfig())
-        supervisor = ReplicaSupervisor(replicas, router, FAST_RESPAWN)
-        try:
-            home = router.assign(0, replicas)
-            home.open_stream(0)
-            head = _run_sequence(home, frames, 0, range(2))
-            assert [r.status for r in head] == [RequestStatus.COMPLETED] * 2
+        tracer = Tracer(TelemetryConfig(enabled=True, ring_capacity=1 << 16))
 
-            def _gen_shipped(generation: str) -> bool:
-                family = registry.snapshot().get("repro_serving_frames_total", {})
-                return any(
-                    sample["labels"].get("shard") == str(home.shard_id)
-                    and sample["labels"].get("generation") == generation
-                    for sample in family.get("samples", ())
+        def _shard_spans(shard_id: int) -> list:
+            return [
+                event for event in tracer.events()
+                if event.shard_id == shard_id and "os_pid" in event.attrs
+            ]
+
+        with tracer:
+            for replica in replicas:
+                replica.start(wait_ready=False)
+            for replica in replicas:
+                replica.wait_ready(ProcessPoolConfig().start_timeout_s)
+            router = Router(RouterConfig())
+            supervisor = ReplicaSupervisor(replicas, router, FAST_RESPAWN)
+            try:
+                home = router.assign(0, replicas)
+                home.open_stream(0)
+                head = _run_sequence(home, frames, 0, range(2))
+                assert [r.status for r in head] == [RequestStatus.COMPLETED] * 2
+
+                # SIGKILL loses anything not yet shipped, so wait out one span
+                # cadence — generation 0 must be in the trace before it dies.
+                _wait_for(
+                    lambda: any(
+                        e.attrs["generation"] == 0 for e in _shard_spans(home.shard_id)
+                    ),
+                    10.0,
+                    "generation-0 spans",
                 )
+                # Queue more work, then kill: the in-flight frames migrate.
+                requests = [home.submit(0, frames[i % len(frames)], 10 + i) for i in range(4)]
+                home.kill()
+                _crash_and_recover(home, replicas, supervisor)
+                statuses = [r.result(timeout=10.0).status for r in requests]
+                assert RequestStatus.MIGRATED in statuses
 
-            # SIGKILL loses anything not yet shipped, so wait out one metrics
-            # cadence — generation 0 must be on the books before it dies.
-            _wait_for(lambda: _gen_shipped("0"), 10.0, "generation-0 metric delta")
-            # Queue more work, then kill: the in-flight frames migrate.
-            requests = [home.submit(0, frames[i % len(frames)], 10 + i) for i in range(4)]
-            home.kill()
-            _crash_and_recover(home, replicas, supervisor)
-            statuses = [r.result(timeout=10.0).status for r in requests]
-            assert RequestStatus.MIGRATED in statuses
+                respawned = next(r for r in replicas if r.shard_id == home.shard_id)
+                assert respawned is not home
+                assert respawned.metrics is home.metrics  # continuity across the crash
+                assert respawned.generation == home.generation + 1
 
-            respawned = next(r for r in replicas if r.shard_id == home.shard_id)
-            assert respawned is not home
-            assert respawned.metrics is home.metrics  # continuity across the crash
-            assert respawned.generation == home.generation + 1
+                respawned.open_stream(5)
+                tail = _run_sequence(respawned, frames, 5, range(3))
+                assert [r.status for r in tail] == [RequestStatus.COMPLETED] * 3
 
-            respawned.open_stream(5)
-            tail = _run_sequence(respawned, frames, 5, range(3))
-            assert [r.status for r in tail] == [RequestStatus.COMPLETED] * 3
-
-            # The shared snapshot merges both generations' completions and
-            # keeps the migrated-vs-dropped shed distinction.
-            merged = respawned.metrics.snapshot()
-            assert merged.completed >= 5  # 2 before the crash + 3 after
-            assert merged.shed_by_cause.get("migrated", 0) >= 1
-            assert merged.shed == sum(merged.shed_by_cause.values())
-        finally:
-            _shutdown_fleet(replicas)
+                # The shared snapshot merges both generations' completions and
+                # keeps the migrated-vs-dropped shed distinction.
+                merged = respawned.metrics.snapshot()
+                assert merged.completed >= 5  # 2 before the crash + 3 after
+                assert merged.shed_by_cause.get("migrated", 0) >= 1
+                assert merged.shed == sum(merged.shed_by_cause.values())
+            finally:
+                _shutdown_fleet(replicas)
         assert supervisor.span_drops + sum(r.span_drops for r in replicas) == 0
 
-        cells = registry.snapshot()["repro_serving_frames_total"]["samples"]
-        crashed_shard = [
-            c["labels"] for c in cells
-            if c["labels"].get("shard") == str(home.shard_id)
-        ]
-        generations = {labels["generation"] for labels in crashed_shard}
-        assert {"0", "1"} <= generations
-        pids = {labels["pid"] for labels in crashed_shard}
+        crashed_shard = _shard_spans(home.shard_id)
+        generations = {event.attrs["generation"] for event in crashed_shard}
+        assert {0, 1} <= generations
+        pids = {event.attrs["os_pid"] for event in crashed_shard}
         assert len(pids) >= 2  # the respawn really was a fresh OS process
 
 

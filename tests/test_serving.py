@@ -268,6 +268,40 @@ class TestServerMetrics:
         assert snap.max_queue_depth == 5
         assert len(snap.streams) == 2
 
+    def test_counters_are_exact_under_thread_churn(self):
+        metrics = ServerMetrics()
+        per_thread, threads = 2000, 4
+
+        def worker(stream_id: int) -> None:
+            for _ in range(per_thread):
+                metrics.on_submitted()
+                metrics.on_completed(stream_id, 0.001, 0.002, 0.003)
+                metrics.on_shed("expired")
+
+        pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        snap = metrics.snapshot()
+        assert snap.submitted == snap.completed == snap.expired == per_thread * threads
+        assert snap.latency.count == per_thread * threads
+        assert [s.completed for s in snap.streams] == [per_thread] * threads
+
+    def test_per_stream_stats_group_the_shared_latency_samples(self):
+        metrics = ServerMetrics()
+        samples = {0: [0.010, 0.030], 1: [0.002, 0.004, 0.006]}
+        for latency_s in (0.010, 0.002, 0.030, 0.004, 0.006):
+            stream_id = 0 if latency_s in samples[0] else 1
+            metrics.on_completed(stream_id, 0.0, latency_s, latency_s)
+        snap = metrics.snapshot()
+        assert snap.latency.count == 5
+        for stream in snap.streams:
+            expected = RuntimeStats(samples_s=samples[stream.stream_id])
+            assert stream.completed == expected.count
+            assert stream.mean_latency_ms == pytest.approx(expected.mean_ms)
+            assert stream.p95_latency_ms == pytest.approx(expected.p95_ms)
+
     def test_format_contains_tail_latency(self):
         metrics = ServerMetrics()
         metrics.on_submitted()
